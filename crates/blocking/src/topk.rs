@@ -26,9 +26,12 @@ use er_index::{ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metr
 /// Which index serves the k-NN queries.
 #[derive(Debug, Clone)]
 pub enum BlockerBackend {
-    /// Brute-force scan under the given metric — exact, O(|left|·|right|).
+    /// Brute-force scan under the given metric — exact, O(|left|·|right|),
+    /// with no index to build. The default.
     Exact(Metric),
-    /// HNSW graph (the scalable default; seed/metric live in the config).
+    /// HNSW graph (seed/metric live in the config). Below the crossover
+    /// `bench_autotune` measures (about 12,700 rows per side) its build
+    /// costs more than the exact scan; use it for larger collections.
     Hnsw(HnswConfig),
     /// Hyperplane LSH with multi-table probing.
     Lsh(LshConfig),
@@ -46,13 +49,15 @@ impl BlockerBackend {
 }
 
 impl Default for BlockerBackend {
-    /// HNSW under cosine — the paper's blocking setting over raw
-    /// embeddings, on the scalable index.
+    /// The exact scan under cosine — the paper's blocking setting over raw
+    /// embeddings. Blocking builds its index once per call, and below the
+    /// measured crossover — about 12,700 rows per side on a 2-vCPU
+    /// machine (`BENCH_autotune.json`, DESIGN.md §9) — an HNSW build plus
+    /// its queries costs more than the exact scan. For larger collections
+    /// pick [`BlockerBackend::Hnsw`] or let `Pipeline::resolve_tuned` /
+    /// `er_tune::autotune` choose.
     fn default() -> Self {
-        BlockerBackend::Hnsw(HnswConfig {
-            metric: Metric::Cosine,
-            ..HnswConfig::default()
-        })
+        BlockerBackend::Exact(Metric::Cosine)
     }
 }
 
@@ -78,7 +83,8 @@ pub struct TopKConfig {
 
 impl TopKConfig {
     /// Start a builder with the given `k` and the default backend
-    /// (HNSW/cosine) and dirty flag (`false`).
+    /// (exact/cosine), scan (Reference, unquantized) and dirty flag
+    /// (`false`).
     pub fn new(k: usize) -> TopKConfig {
         TopKConfig {
             k,
@@ -501,14 +507,23 @@ mod tests {
             built.backend,
             BlockerBackend::Exact(Metric::Cosine)
         ));
-        // Defaults: HNSW under cosine, clean-clean.
+        // Defaults: the exact scan under cosine, clean-clean.
         let defaulted = TopKConfig::new(7);
         assert_eq!(defaulted.k, 7);
         assert!(!defaulted.dirty);
-        assert!(
-            matches!(defaulted.backend, BlockerBackend::Hnsw(ref c) if c.metric == Metric::Cosine)
-        );
+        assert!(matches!(
+            defaulted.backend,
+            BlockerBackend::Exact(Metric::Cosine)
+        ));
         assert_eq!(defaulted.backend.metric(), Metric::Cosine);
+        assert_eq!(defaulted.scan, ScanConfig::default());
+        // An explicit HNSW point builds like a struct literal too.
+        let hnsw = TopKConfig::new(7).backend(BlockerBackend::Hnsw(HnswConfig {
+            metric: Metric::Cosine,
+            ..HnswConfig::default()
+        }));
+        assert!(matches!(hnsw.backend, BlockerBackend::Hnsw(ref c) if c.metric == Metric::Cosine));
+        assert_eq!(hnsw.backend.metric(), Metric::Cosine);
     }
 
     #[test]
@@ -597,10 +612,12 @@ mod tests {
 
     #[test]
     fn invalid_operating_point_is_a_typed_config_error() {
-        let bad = OperatingPoint::default().scan(ScanConfig {
-            quant: er_core::Quantization::Int8 { rerank: 8 },
-            ..ScanConfig::default()
-        });
+        let bad = OperatingPoint::default()
+            .hnsw(HnswParams::default())
+            .scan(ScanConfig {
+                quant: er_core::Quantization::Int8 { rerank: 8 },
+                ..ScanConfig::default()
+            });
         let err = TopKConfig::from_point(&bad).unwrap_err();
         assert!(matches!(err, er_core::ErError::Config(_)), "{err}");
         let (left, right) = clustered();
@@ -616,7 +633,7 @@ mod tests {
         let rm = EmbeddingMatrix::from_embeddings(&right);
         for point in [
             OperatingPoint::default().k(2),
-            OperatingPoint::default().k(2).exact(),
+            OperatingPoint::default().k(2).hnsw(HnswParams::default()),
             OperatingPoint::default().k(2).lsh(LshParams {
                 tables: 4,
                 ..LshParams::default()
@@ -641,11 +658,25 @@ mod tests {
     #[test]
     fn default_point_matches_the_default_legacy_config() {
         // The unified default and the legacy default describe the same run
-        // (compared in canonical JSON: `BackendParams::Hnsw` and
-        // `HnswWith(defaults)` render identically).
+        // — the exact cosine scan — compared in canonical JSON.
         let from_default_config = OperatingPoint::from(&TopKConfig::default());
         let default_point = OperatingPoint::default();
         assert_eq!(from_default_config.to_json(), default_point.to_json());
+        assert_eq!(default_point.backend, BackendParams::Exact);
+        // An explicit default-HNSW config lifts to the parameterless HNSW
+        // point (`Hnsw` and `HnswWith(defaults)` render identically).
+        let hnsw_config = TopKConfig::default().backend(BlockerBackend::Hnsw(HnswConfig {
+            metric: Metric::Cosine,
+            ..HnswConfig::default()
+        }));
+        let hnsw_point = OperatingPoint {
+            backend: BackendParams::Hnsw,
+            ..OperatingPoint::default()
+        };
+        assert_eq!(
+            OperatingPoint::from(&hnsw_config).to_json(),
+            hnsw_point.to_json()
+        );
     }
 
     #[test]

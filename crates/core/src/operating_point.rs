@@ -85,10 +85,12 @@ impl Default for LshParams {
 /// metric and scan tier live on the enclosing [`OperatingPoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendParams {
-    /// Brute-force scan — exact, O(rows) per query.
-    Exact,
-    /// HNSW graph (the scalable default).
+    /// Brute-force scan — exact, O(rows) per query, nothing to build. The
+    /// default: below about 12,700 rows per side it beats an HNSW build
+    /// plus queries (DESIGN.md §9).
     #[default]
+    Exact,
+    /// HNSW graph — worth its build cost only on large collections.
     Hnsw,
     /// HNSW with explicit parameters.
     HnswWith(HnswParams),
@@ -187,13 +189,17 @@ pub struct OperatingPoint {
 }
 
 impl Default for OperatingPoint {
-    /// Mirrors the blocker's historical defaults: `k = 10`, HNSW under
-    /// cosine, Reference kernels, no quantization, Clean-Clean.
+    /// Mirrors the blocker's defaults: `k = 10`, the exact scan under
+    /// cosine, Reference kernels, no quantization, Clean-Clean. The exact
+    /// scan builds no index; below about 12,700 rows per side (measured on
+    /// a 2-vCPU machine, DESIGN.md §9) an HNSW build plus its queries
+    /// costs more. For larger collections choose [`OperatingPoint::hnsw`]
+    /// or let `er_tune::autotune` price the build.
     fn default() -> Self {
         OperatingPoint {
             k: 10,
             metric: Metric::Cosine,
-            backend: BackendParams::Hnsw,
+            backend: BackendParams::Exact,
             scan: ScanConfig::default(),
             dirty: false,
             recall_target: None,
@@ -420,18 +426,28 @@ mod tests {
         let op = OperatingPoint::default();
         assert_eq!(op.k, 10);
         assert_eq!(op.metric, Metric::Cosine);
-        assert_eq!(op.backend.hnsw(), Some(HnswParams::default()));
+        assert_eq!(op.backend, BackendParams::Exact);
+        assert_eq!(op.backend.hnsw(), None);
         assert_eq!(op.scan, ScanConfig::default());
         assert!(!op.dirty);
         assert!(op.validate().is_ok());
+        // The explicit HNSW point resolves to the default graph params.
+        let hnsw = OperatingPoint {
+            backend: BackendParams::Hnsw,
+            ..op
+        };
+        assert_eq!(hnsw.backend.hnsw(), Some(HnswParams::default()));
+        assert!(hnsw.validate().is_ok());
     }
 
     #[test]
     fn quantization_on_approximate_backends_is_a_config_error() {
-        let op = OperatingPoint::default().scan(ScanConfig {
-            tier: KernelTier::Reference,
-            quant: Quantization::Int8 { rerank: 32 },
-        });
+        let op = OperatingPoint::default()
+            .hnsw(HnswParams::default())
+            .scan(ScanConfig {
+                tier: KernelTier::Reference,
+                quant: Quantization::Int8 { rerank: 32 },
+            });
         let err = op.validate().unwrap_err();
         assert!(matches!(err, ErError::Config(_)), "{err}");
         // The same scan on the Exact backend is fine.
@@ -491,8 +507,8 @@ mod tests {
 
     #[test]
     fn json_is_canonical_and_distinguishes_points() {
-        let a = OperatingPoint::recall_target(0.9);
-        let b = OperatingPoint::recall_target(0.9);
+        let a = OperatingPoint::recall_target(0.9).hnsw(HnswParams::default());
+        let b = OperatingPoint::recall_target(0.9).hnsw(HnswParams::default());
         assert_eq!(a.to_json(), b.to_json());
         let c = a.clone().k(7);
         assert_ne!(a.to_json(), c.to_json());
@@ -500,5 +516,10 @@ mod tests {
         let parsed = Json::parse(&a.to_json()).unwrap();
         assert_eq!(parsed.expect("backend").unwrap().as_str().unwrap(), "hnsw");
         assert_eq!(parsed.expect("k").unwrap().as_usize().unwrap(), 10);
+        // The default (exact) point renders differently from the HNSW one.
+        let exact = OperatingPoint::recall_target(0.9);
+        assert_ne!(a.to_json(), exact.to_json());
+        let parsed = Json::parse(&exact.to_json()).unwrap();
+        assert_eq!(parsed.expect("backend").unwrap().as_str().unwrap(), "exact");
     }
 }

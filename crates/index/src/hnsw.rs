@@ -119,6 +119,9 @@ pub struct HnswIndex<'a> {
     /// while its links keep routing.
     pub(crate) deleted: Vec<bool>,
     pub(crate) deleted_count: usize,
+    /// Distance evaluations spent constructing the graph — see
+    /// [`HnswIndex::build_evals`].
+    pub(crate) build_evals: u64,
 }
 
 impl HnswIndex<'static> {
@@ -154,6 +157,7 @@ impl<'a> HnswIndex<'a> {
             level_rng,
             deleted: vec![false; n],
             deleted_count: 0,
+            build_evals: 0,
         };
         let mut visited = vec![false; n];
         for id in 0..n as u32 {
@@ -220,6 +224,17 @@ impl<'a> HnswIndex<'a> {
         self.max_level
     }
 
+    /// Distance evaluations spent constructing the graph: the batch build
+    /// plus every later `insert_row` — entry distances, greedy descent,
+    /// the `ef_construction` beams, neighbour selection and back-link
+    /// pruning all count. A compaction restarts the count with its
+    /// rebuild; a graph loaded from disk starts at 0. Counting never
+    /// changes the graph. This is the index-build term of the query-cost
+    /// model (`er_tune::CostModel::hnsw_build`).
+    pub fn build_evals(&self) -> u64 {
+        self.build_evals
+    }
+
     /// Distance from a query row (norm cached by the caller) to a stored row.
     #[inline]
     fn dist(&self, query: &[f32], query_norm: f32, id: u32) -> f32 {
@@ -261,9 +276,9 @@ impl<'a> HnswIndex<'a> {
             dist: self.dist(&query, query_norm, self.entry),
             id: self.entry,
         };
-        // Construction reuses the search helpers; their eval counter only
-        // matters on the query path.
-        let mut evals = 0u64;
+        // Every construction distance lands in `build_evals`, the entry
+        // distance above included.
+        let mut evals = 1u64;
         // Greedy descent through layers above the new node's level.
         for layer in (level + 1..=self.max_level).rev() {
             cur = self.greedy_closest(&query, query_norm, cur, layer, &mut evals);
@@ -285,12 +300,12 @@ impl<'a> HnswIndex<'a> {
             } else {
                 self.config.m
             };
-            let selected = self.select_neighbors(&found, self.config.m);
+            let selected = self.select_neighbors(&found, self.config.m, &mut evals);
             for &nb in &selected {
                 let mut conns = self.neighbors[nb as usize][layer].clone();
                 conns.push(id);
                 if conns.len() > max_conn {
-                    conns = self.prune(nb, conns, max_conn);
+                    conns = self.prune(nb, conns, max_conn, &mut evals);
                 }
                 self.neighbors[nb as usize][layer] = conns;
             }
@@ -301,6 +316,7 @@ impl<'a> HnswIndex<'a> {
             self.max_level = level;
             self.entry = id;
         }
+        self.build_evals += evals;
     }
 
     /// Hill-climb to the locally closest node of one layer (beam width 1).
@@ -389,16 +405,18 @@ impl<'a> HnswIndex<'a> {
     /// Heuristic neighbour selection (Algorithm 4): walk candidates
     /// nearest-first, keeping one only if it is closer to the query than to
     /// every already-kept neighbour (diversity), then back-fill with the
-    /// nearest rejected candidates (keep-pruned-connections).
-    fn select_neighbors(&self, candidates: &[Cand], m: usize) -> Vec<u32> {
+    /// nearest rejected candidates (keep-pruned-connections). `evals`
+    /// counts every diversity-check distance.
+    fn select_neighbors(&self, candidates: &[Cand], m: usize, evals: &mut u64) -> Vec<u32> {
         let mut selected: Vec<Cand> = Vec::with_capacity(m);
         for &cand in candidates {
             if selected.len() == m {
                 break;
             }
-            let diverse = selected
-                .iter()
-                .all(|&kept| self.dist_rows(cand.id, kept.id) > cand.dist);
+            let diverse = selected.iter().all(|&kept| {
+                *evals += 1;
+                self.dist_rows(cand.id, kept.id) > cand.dist
+            });
             if diverse {
                 selected.push(cand);
             }
@@ -417,7 +435,8 @@ impl<'a> HnswIndex<'a> {
     }
 
     /// Re-select a node's links after a back-link pushed it past `max_conn`.
-    fn prune(&self, node: u32, conns: Vec<u32>, max_conn: usize) -> Vec<u32> {
+    fn prune(&self, node: u32, conns: Vec<u32>, max_conn: usize, evals: &mut u64) -> Vec<u32> {
+        *evals += conns.len() as u64;
         let mut cands: Vec<Cand> = conns
             .into_iter()
             .map(|id| Cand {
@@ -426,7 +445,7 @@ impl<'a> HnswIndex<'a> {
             })
             .collect();
         cands.sort_unstable();
-        self.select_neighbors(&cands, max_conn)
+        self.select_neighbors(&cands, max_conn, evals)
     }
 
     /// [`Self::search_layer`] with tombstone masking: deleted nodes are
@@ -641,6 +660,7 @@ impl MutableIndex for HnswIndex<'_> {
         self.level_rng = rebuilt.level_rng;
         self.deleted = rebuilt.deleted;
         self.deleted_count = 0;
+        self.build_evals = rebuilt.build_evals;
         Ok(keep)
     }
 }
@@ -729,6 +749,36 @@ mod tests {
                 "node {id} unreachable from entry"
             );
         }
+    }
+
+    #[test]
+    fn build_evals_count_construction_and_continue_across_inserts() {
+        // Two rows: the only construction distance is the second row's
+        // distance to the entry point.
+        let two = HnswIndex::build(&grid()[..2], HnswConfig::default());
+        assert_eq!(two.build_evals(), 1);
+        assert_eq!(
+            HnswIndex::build(&[], HnswConfig::default()).build_evals(),
+            0
+        );
+
+        // The batch build is the insert loop, so inserting the same rows
+        // one at a time spends exactly the same evaluations.
+        let vectors = grid();
+        let batch = HnswIndex::build(&vectors, HnswConfig::default());
+        let mut incremental = HnswIndex::build(&vectors[..1], HnswConfig::default());
+        for v in &vectors[1..] {
+            incremental.insert_row(&v.0).unwrap();
+        }
+        assert_eq!(incremental.adjacency(), batch.adjacency());
+        assert_eq!(incremental.build_evals(), batch.build_evals());
+        // Beam, selection and pruning all count: far more than one
+        // evaluation per inserted row.
+        assert!(batch.build_evals() > 10 * vectors.len() as u64);
+        // Searching never touches the construction count.
+        let before = batch.build_evals();
+        let _ = batch.search(&vectors[3], 5);
+        assert_eq!(batch.build_evals(), before);
     }
 
     #[test]

@@ -355,6 +355,7 @@ impl HnswIndex<'static> {
             level_rng,
             deleted,
             deleted_count,
+            build_evals: 0,
         })
     }
 

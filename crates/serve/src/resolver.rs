@@ -38,7 +38,7 @@ use er_core::binary::{self, kind, BinReader, BinWriter};
 use er_core::journal::parse_journal;
 use er_core::{Embedding, Entity, EntityId, ErError, Result, SerializationMode};
 use er_embed::LanguageModel;
-use er_index::ScanConfig;
+use er_index::{HnswConfig, Metric, ScanConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -77,8 +77,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Start from the defaults (4 shards, HNSW/cosine — the blocker's
-    /// default backend — and the default compaction policy).
+    /// Start from the defaults (4 shards, HNSW/cosine and the default
+    /// compaction policy; see [`ServeConfig::default`]).
     pub fn new() -> ServeConfig {
         ServeConfig::default()
     }
@@ -154,10 +154,21 @@ pub fn unified_operating_point(
 }
 
 impl Default for ServeConfig {
+    /// 4 shards of HNSW under cosine (default graph parameters), Reference
+    /// kernels, the default compaction policy.
+    ///
+    /// Serving differs from blocking on purpose: blocking builds its index
+    /// for one batch of queries, so the build cost dominates and the exact
+    /// scan wins at blocking sizes, while a Resolver builds once and then
+    /// serves many queries, so the build cost is spread out and HNSW's
+    /// cheaper queries win.
     fn default() -> Self {
         ServeConfig {
             shards: 4,
-            backend: BlockerBackend::default(),
+            backend: BlockerBackend::Hnsw(HnswConfig {
+                metric: Metric::Cosine,
+                ..HnswConfig::default()
+            }),
             scan: ScanConfig::default(),
             compaction: CompactionPolicy::default(),
         }

@@ -441,6 +441,34 @@ fn int8_service_with_full_rerank_matches_the_f32_service_bitwise() {
 }
 
 #[test]
+fn serve_default_stays_on_cosine_hnsw() {
+    // The blocking default is the exact scan; serving keeps HNSW because a
+    // Resolver builds once and serves many queries. Pin every knob so the
+    // serving default cannot drift with the blocking one.
+    let config = ServeConfig::default();
+    assert_eq!(config.shards, 4);
+    let BlockerBackend::Hnsw(hnsw) = &config.backend else {
+        panic!("serving default left HNSW: {:?}", config.backend);
+    };
+    let expected = HnswConfig {
+        metric: Metric::Cosine,
+        ..HnswConfig::default()
+    };
+    assert_eq!(hnsw.m, expected.m);
+    assert_eq!(hnsw.ef_construction, expected.ef_construction);
+    assert_eq!(hnsw.ef_search, expected.ef_search);
+    assert_eq!(hnsw.metric, Metric::Cosine);
+    assert_eq!(hnsw.seed, expected.seed);
+    assert_eq!(hnsw.tier, expected.tier);
+    assert_eq!(config.scan, er_core::ScanConfig::default());
+    assert_eq!(ServeConfig::new().backend.metric(), Metric::Cosine);
+    assert!(matches!(
+        BlockerBackend::default(),
+        BlockerBackend::Exact(Metric::Cosine)
+    ));
+}
+
+#[test]
 fn operating_point_is_the_single_source_of_truth_for_both_configs() {
     use er_blocking::TopKConfig;
     use er_core::{KernelTier as Tier, OperatingPoint, Quantization, ScanConfig as Scan};
@@ -476,10 +504,12 @@ fn operating_point_is_the_single_source_of_truth_for_both_configs() {
     let resolver = Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &point).unwrap();
     assert!(resolver.is_empty());
     // An invalid point is rejected with the same typed error.
-    let bad = OperatingPoint::default().scan(Scan {
-        tier: Tier::Reference,
-        quant: Quantization::Int8 { rerank: 8 },
-    });
+    let bad = OperatingPoint::default()
+        .hnsw(er_core::HnswParams::default())
+        .scan(Scan {
+            tier: Tier::Reference,
+            quant: Quantization::Int8 { rerank: 8 },
+        });
     assert!(matches!(
         Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &bad),
         Err(ErError::Config(_))

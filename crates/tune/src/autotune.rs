@@ -23,13 +23,21 @@
 //! sample to cover everything (the repo's datasets), every scale factor
 //! is exactly 1 and estimates are pure measurements.
 //!
+//! **Build cost.** Every trial is priced as one blocking call: build the
+//! index over all rows, then query it once per query row. A trial's
+//! `est_ns` is therefore `query_ns + build_ns / queries` — the exact scan
+//! builds nothing, HNSW pays its construction evaluations (measured on
+//! the sample graph each `M` already builds, scaled to the full rows),
+//! LSH its signature dots. This is what makes the tuner choose the exact
+//! scan on small collections and HNSW on large ones.
+//!
 //! Determinism: sampling is stride-based (no RNG), trial order is fixed,
 //! and index builds take their seed from [`TunerConfig::seed`] — the same
 //! inputs always yield a byte-identical chosen point (pinned by
 //! `tests/autotune.rs`).
 
 use crate::calibrate::CostTier;
-use crate::cost::CostModel;
+use crate::cost::{depth_scale, CostEstimate, CostModel};
 use er_core::{
     EmbeddingMatrix, ErError, HnswParams, LshParams, OperatingPoint, QueryParams, Result,
     ScanConfig,
@@ -84,9 +92,15 @@ pub struct Trial {
     /// Mean overlap@k with the exact-scan reference on the sample.
     pub recall: f32,
     /// Estimated full-width distance evaluations per query on the full
-    /// collection.
+    /// collection (search only).
     pub est_evals: f64,
-    /// Estimated nanoseconds per query on the full collection.
+    /// Estimated full-width distance evaluations of one index build over
+    /// the full collection (0 for exact scans and LSH).
+    pub est_build_evals: f64,
+    /// Estimated nanoseconds of one index build over the full collection.
+    pub est_build_ns: f64,
+    /// Estimated nanoseconds per query on the full collection, build
+    /// included: `query_ns + est_build_ns / queries`.
     pub est_ns: f64,
     /// Whether the trial meets the recall target (and budget, if set).
     pub feasible: bool,
@@ -184,6 +198,7 @@ pub fn autotune(
     let target = goal.recall_target.unwrap_or(0.95);
     let dim = rows.dim();
     let full_rows = rows.len();
+    let full_queries = queries.len() as f64;
 
     let row_sample = stride_sample(rows.len(), config.sample_rows);
     let query_sample = stride_sample(queries.len(), config.sample_queries);
@@ -198,19 +213,29 @@ pub fn autotune(
         .collect();
 
     let mut trials: Vec<Trial> = Vec::new();
-    let mut push_trial = |point: OperatingPoint, recall: f32, est_evals: f64, est_ns: f64| {
-        let feasible = recall >= target
-            && goal
-                .budget_ns
-                .map(|budget| est_ns <= budget)
-                .unwrap_or(true);
-        trials.push(Trial {
-            point,
-            recall,
-            est_evals,
-            est_ns,
-            feasible,
-        });
+    // `query` is the per-query search estimate, `build` one index build;
+    // the trial is priced as one blocking call amortized per query.
+    let mut push_trial =
+        |point: OperatingPoint, recall: f32, query: CostEstimate, build: CostEstimate| {
+            let est_ns = query.ns + build.ns / full_queries;
+            let feasible = recall >= target
+                && goal
+                    .budget_ns
+                    .map(|budget| est_ns <= budget)
+                    .unwrap_or(true);
+            trials.push(Trial {
+                point,
+                recall,
+                est_evals: query.evals,
+                est_build_evals: build.evals,
+                est_build_ns: build.ns,
+                est_ns,
+                feasible,
+            });
+        };
+    let no_build = CostEstimate {
+        evals: 0.0,
+        ns: 0.0,
     };
 
     // --- Exact scans: analytic cost, measured recall. -------------------
@@ -232,16 +257,12 @@ pub fn autotune(
             / probes.len() as f32;
         let est = model.exact(full_rows, dim, metric, &scan, k)?;
         let point = goal.clone().exact().scan(scan);
-        push_trial(point, recall, est.evals, est.ns);
+        push_trial(point, recall, est, no_build);
     }
 
     // --- HNSW: one build per M, beam width swept at query time. ---------
     // Depth heuristic: evaluation counts grow with graph depth ~ ln n.
-    let hnsw_scale = if full_rows > sample.len() && sample.len() >= 2 {
-        (full_rows as f64).ln() / (sample.len() as f64).ln()
-    } else {
-        1.0
-    };
+    let hnsw_scale = depth_scale(sample.len(), full_rows);
     for &m in &config.hnsw_ms {
         let index = HnswIndex::from_source(
             &sample,
@@ -254,6 +275,7 @@ pub fn autotune(
             },
         );
         let curve = model.probe_hnsw(&index, probes.iter().copied(), k, &config.ef_grid)?;
+        let build = model.hnsw_build(&index, full_rows)?;
         for &ef in &config.ef_grid {
             let recall = probes
                 .iter()
@@ -276,7 +298,11 @@ pub fn autotune(
                     ..HnswParams::default()
                 })
                 .scan(ScanConfig::with_tier(goal.scan.tier));
-            push_trial(point, recall, est.evals * hnsw_scale, est.ns * hnsw_scale);
+            let query = CostEstimate {
+                evals: est.evals * hnsw_scale,
+                ns: est.ns * hnsw_scale,
+            };
+            push_trial(point, recall, query, build);
         }
     }
 
@@ -318,7 +344,12 @@ pub fn autotune(
                 // Scale the re-ranked candidates to the full collection;
                 // the signature-hash term is row-count independent.
                 let est_evals = est.evals * lsh_scale;
-                let est_ns = est.ns + (est_evals - est.evals) * rerank_ns;
+                let query = CostEstimate {
+                    evals: est_evals,
+                    ns: est.ns + (est_evals - est.evals) * rerank_ns,
+                };
+                let build =
+                    model.lsh_build(full_rows, dim, goal.scan.tier, config.lsh_planes, tables)?;
                 let point = goal
                     .clone()
                     .lsh(LshParams {
@@ -328,7 +359,7 @@ pub fn autotune(
                         seed: config.seed,
                     })
                     .scan(ScanConfig::with_tier(goal.scan.tier));
-                push_trial(point, recall, est_evals, est_ns);
+                push_trial(point, recall, query, build);
             }
         }
     }
@@ -356,15 +387,40 @@ pub fn autotune(
     })
 }
 
+/// Measured full-width distance evaluations of one blocking call — the
+/// twin of a [`Trial`]'s estimates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Measured {
+    /// Evaluations of every query's `search_counted`, summed.
+    pub query_evals: u64,
+    /// Evaluations spent building the index (HNSW only; 0 otherwise).
+    pub build_evals: u64,
+    /// Queries run.
+    pub queries: usize,
+}
+
+impl Measured {
+    /// Mean search evaluations per query (build excluded) — the twin of
+    /// [`Trial::est_evals`].
+    pub fn per_query(&self) -> f64 {
+        self.query_evals as f64 / self.queries as f64
+    }
+
+    /// Build plus every query: the whole blocking call.
+    pub fn total(&self) -> u64 {
+        self.query_evals + self.build_evals
+    }
+}
+
 /// The measured twin of the estimates: build the index `point` describes
-/// over `rows`, run every query through `search_counted`, and return
-/// `(total, per-query mean)` full-width distance evaluations. This is
-/// what the acceptance tests compare the tuner's choices against.
+/// over `rows`, run every query through `search_counted`, and count the
+/// full-width distance evaluations of the build and of the queries. This
+/// is what the acceptance tests compare the tuner's choices against.
 pub fn measure_point(
     queries: &EmbeddingMatrix,
     rows: &EmbeddingMatrix,
     point: &OperatingPoint,
-) -> Result<(u64, f64)> {
+) -> Result<Measured> {
     point.validate()?;
     if queries.is_empty() {
         return Err(ErError::Config(
@@ -372,8 +428,9 @@ pub fn measure_point(
         ));
     }
     let params = point.query_params();
+    let mut build_evals = 0;
     let index: Box<dyn IndexReader + '_> = if let Some(p) = point.backend.hnsw() {
-        Box::new(HnswIndex::from_source(
+        let graph = HnswIndex::from_source(
             rows,
             HnswConfig {
                 m: p.m,
@@ -383,7 +440,9 @@ pub fn measure_point(
                 seed: p.seed,
                 tier: point.scan.tier,
             },
-        ))
+        );
+        build_evals = graph.build_evals();
+        Box::new(graph)
     } else if let Some(p) = point.backend.lsh() {
         Box::new(HyperplaneLsh::from_source(
             rows,
@@ -403,11 +462,15 @@ pub fn measure_point(
             point.scan,
         )?)
     };
-    let mut total = 0u64;
-    for q in queries.rows_iter() {
-        total += index.search_counted(q, point.k, &params).1;
-    }
-    Ok((total, total as f64 / queries.len() as f64))
+    let query_evals = queries
+        .rows_iter()
+        .map(|q| index.search_counted(q, point.k, &params).1)
+        .sum();
+    Ok(Measured {
+        query_evals,
+        build_evals,
+        queries: queries.len(),
+    })
 }
 
 #[cfg(test)]

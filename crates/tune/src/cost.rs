@@ -22,24 +22,58 @@
 //!   true near-duplicate collides in every table at once). On top the
 //!   query pays `tables × planes` signature dots.
 //!
+//! **Index build.** Blocking builds its index once per call, so a
+//! per-query price alone favours HNSW on collections where its build
+//! costs more than every exact query. The build terms price one build:
+//! the exact scan builds nothing; HNSW counts the distance evaluations of
+//! the sample graph the tuner already builds ([`HnswIndex::build_evals`])
+//! and scales them to the full row count ([`CostModel::hnsw_build`]);
+//! LSH pays `rows × tables × planes` signature dots
+//! ([`CostModel::lsh_build`]).
+//!
 //! Accuracy is pinned in `tests/cost_accuracy.rs`: each estimator stays
-//! within 25% of measured evaluation counts on D1/D3/D7 for both metrics.
+//! within 25% of measured evaluation counts on D1/D3/D7 for both metrics,
+//! the HNSW build estimate included.
 
 use crate::calibrate::{Calibration, CostTier};
 use er_core::{ErError, Metric, Quantization, QueryParams, Result, ScanConfig};
 use er_index::{HnswIndex, HyperplaneLsh, IndexReader};
 
-/// One backend configuration's predicted per-query cost.
+/// One backend configuration's predicted cost — per query for the query
+/// estimators, per index build for [`CostModel::hnsw_build`] and
+/// [`CostModel::lsh_build`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
-    /// Predicted full-width distance evaluations per query — the number
-    /// `search_counted` is expected to report.
+    /// Predicted full-width distance evaluations — per query, the number
+    /// `search_counted` is expected to report; per build, the number
+    /// [`HnswIndex::build_evals`] is expected to report.
     pub evals: f64,
-    /// Predicted nanoseconds per query: `evals` priced by the calibration
-    /// table, plus setup terms (quantized first pass, LSH signature dots)
-    /// that `evals` deliberately excludes.
+    /// Predicted nanoseconds: `evals` priced by the calibration table,
+    /// plus setup terms (quantized first pass, LSH signature dots) that
+    /// `evals` deliberately excludes.
     pub ns: f64,
 }
+
+/// How a count measured on `sample` rows scales to `full` rows under the
+/// logarithmic-descent heuristic: a query (or an insert) walks a graph
+/// whose depth grows with `ln rows`. Exactly 1 when the sample covers the
+/// collection.
+pub(crate) fn depth_scale(sample: usize, full: usize) -> f64 {
+    if full > sample && sample >= 2 {
+        (full as f64).ln() / (sample as f64).ln()
+    } else {
+        1.0
+    }
+}
+
+/// How much more an HNSW distance evaluation costs than one row of a
+/// streaming scan at the same tier, metric and width: graph rows are read
+/// in random order, and every evaluation also pays for heap and
+/// visited-set bookkeeping. Measured by `bench_autotune`'s crossover
+/// section (`graph_eval_factor`: HNSW build time per construction
+/// evaluation over the calibrated scan cell, FastText rows, n = 100 to
+/// 16,000).
+pub const GRAPH_EVAL_FACTOR: f64 = 2.2;
 
 /// The estimator bundle: a [`Calibration`] table plus the per-backend
 /// formulas.
@@ -104,12 +138,7 @@ impl CostModel {
         k: usize,
         anchor_efs: &[usize],
     ) -> Result<HnswCostModel> {
-        let config = index.config();
-        let ns_per_row = self.calibration.ns_per_row_metric(
-            CostTier::of_kernel(config.tier),
-            config.metric,
-            index.matrix().dim(),
-        )?;
+        let ns_per_row = self.graph_ns_per_eval(index)?;
         if anchor_efs.is_empty() {
             return Err(ErError::Config(
                 "probe_hnsw needs at least one anchor ef".into(),
@@ -137,6 +166,68 @@ impl CostModel {
         Ok(HnswCostModel {
             anchors,
             ns_per_row,
+        })
+    }
+
+    /// Nanoseconds of one distance evaluation inside `index`'s graph: the
+    /// calibrated scan row at the index's tier, metric and width, times
+    /// [`GRAPH_EVAL_FACTOR`].
+    fn graph_ns_per_eval(&self, index: &HnswIndex) -> Result<f64> {
+        let config = index.config();
+        let ns_per_row = self.calibration.ns_per_row_metric(
+            CostTier::of_kernel(config.tier),
+            config.metric,
+            index.matrix().dim(),
+        )?;
+        Ok(ns_per_row * GRAPH_EVAL_FACTOR)
+    }
+
+    /// One HNSW build over `full_rows` rows, from a `sample` graph built
+    /// with the same config: the sample's measured construction
+    /// evaluations, scaled by the row ratio (one insert per row) and by
+    /// the square of the depth ratio `ln N / ln n`. Each insert is an
+    /// `ef_construction` beam search, and on graphs of up to tens of
+    /// thousands of rows its cost grows faster than a query's single
+    /// depth factor — the beam has not yet saturated, so deeper graphs
+    /// also widen the explored neighbourhood. The squared factor tracks
+    /// measured construction evaluations within about 15% from 1,000 to
+    /// 16,000 FastText rows out of a 256-row sample (`bench_autotune`'s
+    /// crossover section records both); the single factor fell 30–46%
+    /// short. When the sample is the whole collection the estimate is the
+    /// measurement.
+    pub fn hnsw_build(&self, sample: &HnswIndex, full_rows: usize) -> Result<CostEstimate> {
+        let ns_per_row = self.graph_ns_per_eval(sample)?;
+        let n = sample.matrix().len();
+        let evals = if n == 0 || full_rows <= n {
+            sample.build_evals() as f64
+        } else {
+            sample.build_evals() as f64
+                * (full_rows as f64 / n as f64)
+                * depth_scale(n, full_rows).powi(2)
+        };
+        Ok(CostEstimate {
+            evals,
+            ns: evals * ns_per_row,
+        })
+    }
+
+    /// One LSH build over `rows` rows of width `dim`: every row is hashed
+    /// into every table, `tables × planes` signature dots per row, with
+    /// no full-width distance evaluations.
+    pub fn lsh_build(
+        &self,
+        rows: usize,
+        dim: usize,
+        tier: er_core::KernelTier,
+        planes: usize,
+        tables: usize,
+    ) -> Result<CostEstimate> {
+        let hash_ns = self
+            .calibration
+            .ns_per_row(CostTier::of_kernel(tier), "dot", dim)?;
+        Ok(CostEstimate {
+            evals: 0.0,
+            ns: (rows * tables * planes) as f64 * hash_ns,
         })
     }
 
@@ -272,6 +363,38 @@ mod tests {
         assert_eq!(est.evals, 100.0);
         let est = model.exact(30, 64, Metric::Cosine, &scan, 100).unwrap();
         assert_eq!(est.evals, 30.0);
+    }
+
+    #[test]
+    fn build_terms_scale_with_rows_and_depth() {
+        let model = CostModel::builtin();
+        let lsh = model
+            .lsh_build(1000, 64, KernelTier::Reference, 12, 8)
+            .unwrap();
+        assert_eq!(lsh.evals, 0.0);
+        assert!((lsh.ns - 1000.0 * 96.0 * 36.832645).abs() < 1e-3);
+        assert_eq!(depth_scale(256, 256), 1.0);
+        assert_eq!(depth_scale(256, 100), 1.0);
+        let scale = depth_scale(100, 10_000);
+        assert!((scale - 2.0).abs() < 1e-12, "{scale}");
+
+        // A sample covering the collection prices its own measurement;
+        // a larger collection scales it by rows and depth.
+        let mut matrix = er_core::EmbeddingMatrix::new(48);
+        for i in 0..64 {
+            let row: Vec<f32> = (0..48).map(|d| ((i * 7 + d * 3) % 11) as f32).collect();
+            matrix.push(&row);
+        }
+        let graph = HnswIndex::from_source(&matrix, er_index::HnswConfig::default());
+        let measured = graph.build_evals() as f64;
+        assert!(measured > 0.0);
+        let same = model.hnsw_build(&graph, 64).unwrap();
+        assert_eq!(same.evals, measured);
+        assert!((same.ns - measured * 27.776 * GRAPH_EVAL_FACTOR).abs() < 1e-3);
+        assert_eq!(model.hnsw_build(&graph, 10).unwrap().evals, measured);
+        let larger = model.hnsw_build(&graph, 640).unwrap();
+        let expected = measured * 10.0 * depth_scale(64, 640).powi(2);
+        assert!((larger.evals - expected).abs() < 1e-6);
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! * [`CostModel`] — per-backend query-cost estimators: exact scans
 //!   analytically (`rows × ns_per_row(dim, tier, quant)`), HNSW from
 //!   measured distance-evaluation counts at anchor beam widths
-//!   ([`HnswCostModel`]), LSH from expected bucket occupancy. Each is
-//!   validated against measured `search_counted` evaluations within 25%
-//!   in `tests/cost_accuracy.rs`.
+//!   ([`HnswCostModel`]), LSH from expected bucket occupancy — plus the
+//!   index-build terms (HNSW construction evaluations, LSH signature
+//!   dots; the exact scan builds nothing). Each is validated against
+//!   measured evaluations within 25% in `tests/cost_accuracy.rs`.
 //! * [`autotune()`] — sample the collection, sweep
 //!   `(backend, M, ef_search, tables, probes, tier, quant)` with
 //!   ground-truth-free recall proxies, and return the cheapest
-//!   [`er_core::OperatingPoint`] meeting the recall target;
+//!   [`er_core::OperatingPoint`] meeting the recall target, each trial
+//!   priced build-inclusive (`query_ns + build_ns / queries`);
 //!   [`measure_point`] is the measured twin the acceptance tests compare
 //!   against.
 //!
@@ -27,6 +29,6 @@ pub mod autotune;
 pub mod calibrate;
 pub mod cost;
 
-pub use autotune::{autotune, measure_point, Trial, TuneOutcome, TunerConfig};
+pub use autotune::{autotune, measure_point, Measured, Trial, TuneOutcome, TunerConfig};
 pub use calibrate::{metric_name, Calibration, Cell, CostTier};
 pub use cost::{CostEstimate, CostModel, HnswCostModel};

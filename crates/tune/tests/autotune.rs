@@ -98,8 +98,9 @@ fn chosen_estimate_matches_the_measured_twin_within_margin() {
         &CostModel::builtin(),
     )
     .expect("tunes");
-    let (_, measured_per_query) =
-        measure_point(&queries, &rows, &outcome.chosen).expect("measures");
+    let measured_per_query = measure_point(&queries, &rows, &outcome.chosen)
+        .expect("measures")
+        .per_query();
     let est = outcome.chosen_trial().est_evals;
     let error = (est - measured_per_query).abs() / measured_per_query;
     assert!(

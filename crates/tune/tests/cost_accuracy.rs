@@ -1,6 +1,7 @@
-//! The cost-estimate accuracy suite (ISSUE 9 acceptance): on D1/D3/D7,
-//! for both metrics, every backend's estimated distance-evaluation count
-//! stays within 25% of the measured `search_counted` totals.
+//! The cost-estimate accuracy suite: on D1/D3/D7, for both metrics, every
+//! backend's estimated distance-evaluation count stays within 25% of the
+//! measured `search_counted` totals, and the HNSW build estimate within
+//! 25% of the measured construction evaluations.
 //!
 //! Exact estimates are analytic and must be *exactly* right; HNSW and LSH
 //! estimates are model-based (probed anchors / bucket occupancy) and get
@@ -9,12 +10,13 @@
 //! generalize, not memorize.
 
 use er_core::{
-    EmbeddingMatrix, KernelTier, Metric, Quantization, QueryParams, ScanConfig, SerializationMode,
+    EmbeddingMatrix, KernelTier, Metric, OperatingPoint, Quantization, QueryParams, ScanConfig,
+    SerializationMode,
 };
 use er_datasets::{CleanCleanDataset, DatasetId};
 use er_embed::{LanguageModel, ModelCode, ModelZoo, ZooConfig};
 use er_index::{ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, IndexReader, LshConfig};
-use er_tune::CostModel;
+use er_tune::{autotune, CostModel, TunerConfig};
 
 const K: usize = 10;
 const MARGIN: f64 = 0.25;
@@ -22,15 +24,70 @@ const MARGIN: f64 = 0.25;
 fn embed(ds: &CleanCleanDataset) -> (EmbeddingMatrix, EmbeddingMatrix) {
     let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
     let model = zoo.get(ModelCode::FT);
+    (
+        to_matrix(model.as_ref(), &ds.left),
+        to_matrix(model.as_ref(), &ds.right),
+    )
+}
+
+fn to_matrix(model: &dyn LanguageModel, entities: &[er_core::Entity]) -> EmbeddingMatrix {
     let mode = SerializationMode::SchemaAgnostic;
-    let to_matrix = |entities: &[er_core::Entity]| {
-        let rows: Vec<er_core::Embedding> = entities
-            .iter()
-            .map(|e| model.embed(&e.serialize(&mode)))
-            .collect();
-        EmbeddingMatrix::from_embeddings(&rows)
+    let rows: Vec<er_core::Embedding> = entities
+        .iter()
+        .map(|e| model.embed(&e.serialize(&mode)))
+        .collect();
+    EmbeddingMatrix::from_embeddings(&rows)
+}
+
+/// The tuner's HNSW build estimate for `rows` (default sweep restricted
+/// to `m`) against the measured construction evaluations of a full build.
+fn check_build_estimate(
+    queries: &EmbeddingMatrix,
+    rows: &EmbeddingMatrix,
+    metric: Metric,
+    label: &str,
+) {
+    let m = HnswConfig::default().m;
+    let tuner = TunerConfig {
+        hnsw_ms: vec![m],
+        lsh_tables: Vec::new(),
+        ..TunerConfig::default()
     };
-    (to_matrix(&ds.left), to_matrix(&ds.right))
+    let goal = OperatingPoint::recall_target(0.9).metric(metric);
+    let outcome = autotune(queries, rows, &goal, &tuner, &CostModel::builtin()).expect("tunes");
+    let graph = HnswIndex::from_source(
+        rows,
+        HnswConfig {
+            metric,
+            seed: tuner.seed,
+            ..HnswConfig::default()
+        },
+    );
+    for trial in outcome
+        .trials
+        .iter()
+        .filter(|t| t.point.backend.name() == "hnsw")
+    {
+        eprintln!(
+            "{label}: build evals estimated {:.0} measured {}",
+            trial.est_build_evals,
+            graph.build_evals()
+        );
+        assert_within(
+            trial.est_build_evals,
+            graph.build_evals() as f64,
+            &format!("{label}/hnsw build"),
+        );
+    }
+    // The exact scan builds nothing.
+    for trial in outcome
+        .trials
+        .iter()
+        .filter(|t| t.point.backend.name() == "exact")
+    {
+        assert_eq!(trial.est_build_evals, 0.0, "{label}: exact build");
+        assert_eq!(trial.est_build_ns, 0.0, "{label}: exact build");
+    }
 }
 
 fn assert_within(estimated: f64, measured: f64, label: &str) {
@@ -73,6 +130,9 @@ fn check_dataset(id: DatasetId) {
 
     for metric in [Metric::Euclidean, Metric::Cosine] {
         let label = |what: &str| format!("{id:?}/{metric:?}/{what}");
+
+        // --- HNSW build: the tuner's estimate vs a measured full build.
+        check_build_estimate(&queries, &rows, metric, &label("build"));
 
         // --- Exact: analytic, must match the counter contract exactly.
         for scan in [
@@ -161,6 +221,26 @@ fn check_dataset(id: DatasetId) {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn build_estimate_extrapolates_from_the_sample_within_25_percent() {
+    // D1–D10 pooled into one ~1,150-row collection: the tuner samples 256
+    // rows, so the build estimate is scaled, not measured.
+    let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
+    let model = zoo.get(ModelCode::FT);
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for id in DatasetId::ALL {
+        let ds = CleanCleanDataset::generate(id, 42);
+        left.extend(ds.left);
+        right.extend(ds.right);
+    }
+    let queries = to_matrix(model.as_ref(), &left);
+    let rows = to_matrix(model.as_ref(), &right);
+    assert!(rows.len() > 4 * TunerConfig::default().sample_rows);
+    for metric in [Metric::Euclidean, Metric::Cosine] {
+        check_build_estimate(&queries, &rows, metric, &format!("D1-D10/{metric:?}"));
     }
 }
 

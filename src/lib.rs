@@ -73,7 +73,7 @@ pub mod prelude {
     };
     pub use er_text::corpus::synthetic_corpus;
     pub use er_text::{normalize, tokenize, Corpus};
-    pub use er_tune::{autotune, measure_point, CostModel, TuneOutcome, TunerConfig};
+    pub use er_tune::{autotune, measure_point, CostModel, Measured, TuneOutcome, TunerConfig};
 
     pub use crate::{
         block, vectorize, vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome,
