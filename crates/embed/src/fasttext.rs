@@ -11,12 +11,12 @@
 use crate::sgns::{decayed_lr, sgns_step, NegTable};
 use crate::vocab::Vocab;
 use crate::word2vec::SgnsParams;
-use crate::{mean_pool, LanguageModel, ModelCode};
+use crate::{add_into, mean_pool_into, LanguageModel, ModelCode};
 use er_core::json::Json;
 use er_core::rng::derive;
 use er_core::{Embedding, ErError, Result};
-use er_text::ngram::hashed_ngrams;
-use er_text::{tokenize, Corpus};
+use er_text::ngram::{for_each_ngram_bucket, hashed_ngrams};
+use er_text::Corpus;
 use rand::Rng;
 use std::time::{Duration, Instant};
 
@@ -31,6 +31,11 @@ pub struct FastText {
     word_vecs: Vec<f32>,
     /// Subword bucket vectors, `buckets * dim`.
     bucket_vecs: Vec<f32>,
+    /// Derived from the weights above and never serialized: row `id` is
+    /// the vector of vocabulary token `id` (its word vector averaged with
+    /// its buckets), `vocab.len() * dim`. Rebuilt by `train` and
+    /// `from_json`, so in-vocabulary tokens embed by one row copy.
+    token_vecs: Vec<f32>,
     init_ns: u64,
 }
 
@@ -130,7 +135,7 @@ impl FastText {
             }
         }
 
-        FastText {
+        let mut model = FastText {
             vocab,
             dim,
             nmin: params.nmin,
@@ -138,8 +143,12 @@ impl FastText {
             buckets: params.buckets,
             word_vecs,
             bucket_vecs,
-            init_ns: start.elapsed().as_nanos() as u64,
-        }
+            token_vecs: Vec::new(),
+            init_ns: 0,
+        };
+        model.build_token_table();
+        model.init_ns = start.elapsed().as_nanos() as u64;
+        model
     }
 
     pub fn vocab(&self) -> &Vocab {
@@ -148,35 +157,72 @@ impl FastText {
 
     /// A single token's vector: word vector averaged with its subword
     /// buckets when in-vocabulary, subword buckets alone otherwise. Only
-    /// tokens with no characters at all have no representation.
+    /// tokens with no component at all (empty, or out-of-vocabulary and
+    /// too short for any n-gram) have no representation.
     pub fn token_vector(&self, token: &str) -> Option<Embedding> {
+        let mut scratch = Vec::new();
+        self.token_row(token, &mut scratch)
+            .map(|v| Embedding(v.to_vec()))
+    }
+
+    /// Fill `token_vecs` from the current weights.
+    fn build_token_table(&mut self) {
+        let dim = self.dim;
+        let mut table = vec![0.0f32; self.vocab.len() * dim];
+        for id in 0..self.vocab.len() {
+            let token = self.vocab.token(id as u32);
+            self.average_components(Some(id as u32), token, &mut table[id * dim..(id + 1) * dim]);
+        }
+        self.token_vecs = table;
+    }
+
+    /// Average the word vector of vocabulary id `id` (if any) with the
+    /// bucket vectors of `token`'s n-grams into `out`. Arithmetic order:
+    /// start at `+0.0`, add the word row, then each bucket row in n-gram
+    /// order, then divide by the part count. False when there is no part
+    /// at all (an OOV token too short for any n-gram).
+    fn average_components(&self, id: Option<u32>, token: &str, out: &mut [f32]) -> bool {
+        let dim = self.dim;
+        out.fill(0.0);
+        let mut parts = 0.0f32;
+        if let Some(id) = id {
+            add_into(
+                out,
+                &self.word_vecs[id as usize * dim..(id as usize + 1) * dim],
+            );
+            parts += 1.0;
+        }
+        for_each_ngram_bucket(token, self.nmin, self.nmax, self.buckets, |g| {
+            add_into(
+                out,
+                &self.bucket_vecs[g as usize * dim..(g as usize + 1) * dim],
+            );
+            parts += 1.0;
+        });
+        if parts == 0.0 {
+            return false;
+        }
+        for v in out.iter_mut() {
+            *v /= parts;
+        }
+        true
+    }
+
+    /// One token's vector: its table row when in-vocabulary, its bucket
+    /// average (computed into `scratch`) otherwise. The single FT
+    /// embedding path behind both [`FastText::token_vector`] and
+    /// `embed_into`.
+    fn token_row<'a>(&'a self, token: &str, scratch: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         if token.is_empty() {
             return None;
         }
-        let grams = hashed_ngrams(token, self.nmin, self.nmax, self.buckets);
-        let mut v = vec![0.0f32; self.dim];
-        let mut parts = 0.0f32;
         if let Some(id) = self.vocab.id(token) {
-            let row = &self.word_vecs[id as usize * self.dim..(id as usize + 1) * self.dim];
-            for (vd, wd) in v.iter_mut().zip(row) {
-                *vd += wd;
-            }
-            parts += 1.0;
+            let id = id as usize;
+            return Some(&self.token_vecs[id * self.dim..(id + 1) * self.dim]);
         }
-        for &g in &grams {
-            let row = &self.bucket_vecs[g as usize * self.dim..(g as usize + 1) * self.dim];
-            for (vd, bd) in v.iter_mut().zip(row) {
-                *vd += bd;
-            }
-            parts += 1.0;
-        }
-        if parts == 0.0 {
-            return None;
-        }
-        for vd in v.iter_mut() {
-            *vd /= parts;
-        }
-        Some(Embedding(v))
+        scratch.resize(self.dim, 0.0);
+        self.average_components(None, token, scratch)
+            .then_some(&scratch[..])
     }
 
     pub fn to_json(&self) -> Json {
@@ -207,7 +253,12 @@ impl FastText {
         if nmin < 1 || nmin > nmax {
             return Err(ErError::Parse(format!("bad n-gram range {nmin}..={nmax}")));
         }
-        Ok(FastText {
+        // Zero buckets would pass the shape check (0 rows) and then panic
+        // hashing the first n-gram.
+        if buckets == 0 {
+            return Err(ErError::Parse("FastText: need at least one bucket".into()));
+        }
+        let mut model = FastText {
             vocab,
             dim,
             nmin,
@@ -215,8 +266,11 @@ impl FastText {
             buckets,
             word_vecs,
             bucket_vecs,
+            token_vecs: Vec::new(),
             init_ns,
-        })
+        };
+        model.build_token_table();
+        Ok(model)
     }
 
     pub(crate) fn init_ns(&self) -> u64 {
@@ -238,9 +292,19 @@ impl LanguageModel for FastText {
     }
 
     fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        let vecs: Vec<Embedding> = tokens.iter().filter_map(|t| self.token_vector(t)).collect();
-        mean_pool(vecs.iter().map(Embedding::as_slice), self.dim)
+        let mut e = Embedding::zeros(self.dim);
+        self.embed_into(text, &mut e.0);
+        e
+    }
+
+    fn embed_into(&self, text: &str, out: &mut [f32]) {
+        // One OOV scratch row per call, reused across the text's tokens.
+        let mut scratch = Vec::new();
+        mean_pool_into(text, out, |token, sum| {
+            self.token_row(token, &mut scratch)
+                .map(|v| add_into(sum, v))
+                .is_some()
+        });
     }
 }
 
@@ -296,5 +360,24 @@ mod tests {
         let model = FastText::train(&corpus, vocab, &toy_params(), 13);
         let back = FastText::from_json(&model.to_json(), model.init_ns()).unwrap();
         assert_eq!(model.embed("golden kamera"), back.embed("golden kamera"));
+    }
+
+    #[test]
+    fn zero_buckets_are_a_parse_error_not_a_panic() {
+        let corpus = toy_corpus();
+        let vocab = Vocab::build(&corpus, 1);
+        let model = FastText::train(&corpus, vocab, &toy_params(), 13);
+        let Json::Obj(mut fields) = model.to_json() else {
+            panic!("FastText serializes to an object");
+        };
+        for (key, value) in fields.iter_mut() {
+            match key.as_str() {
+                "buckets" => *value = Json::from_usize(0),
+                "bucket_vectors" => *value = Json::from_f32_slice(&[]),
+                _ => {}
+            }
+        }
+        let err = FastText::from_json(&Json::Obj(fields), 0).unwrap_err();
+        assert!(matches!(err, ErError::Parse(_)), "{err:?}");
     }
 }

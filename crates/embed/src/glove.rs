@@ -10,11 +10,11 @@
 //! brittleness the paper's Fig. 3 contrasts against FastText.
 
 use crate::vocab::Vocab;
-use crate::{mean_pool, LanguageModel, ModelCode};
+use crate::{add_into, mean_pool_into, LanguageModel, ModelCode};
 use er_core::json::Json;
 use er_core::rng::derive;
 use er_core::{Embedding, Result};
-use er_text::{tokenize, Corpus};
+use er_text::Corpus;
 use rand::prelude::*;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -173,8 +173,15 @@ impl LanguageModel for Glove {
     }
 
     fn embed(&self, text: &str) -> Embedding {
-        let tokens = tokenize(text);
-        mean_pool(tokens.iter().filter_map(|t| self.token_vector(t)), self.dim)
+        let mut e = Embedding::zeros(self.dim);
+        self.embed_into(text, &mut e.0);
+        e
+    }
+
+    fn embed_into(&self, text: &str, out: &mut [f32]) {
+        mean_pool_into(text, out, |token, sum| {
+            self.token_vector(token).map(|v| add_into(sum, v)).is_some()
+        });
     }
 }
 

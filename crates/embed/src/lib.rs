@@ -30,6 +30,7 @@ pub use word2vec::{SgnsParams, Word2Vec};
 pub use zoo::{AnyModel, ModelZoo, ZooConfig};
 
 use er_core::{Embedding, ErError, Result};
+use er_text::{normalize, tokens_of};
 use std::time::Duration;
 
 /// The 12 language models of the paper's Table 3, by two-letter code.
@@ -154,25 +155,42 @@ pub trait LanguageModel: Send + Sync {
     }
 }
 
-/// Mean-pool a set of token vectors into one sentence embedding; an empty
-/// set (all tokens OOV, or empty text) pools to the zero vector.
-pub(crate) fn mean_pool<'a>(vecs: impl Iterator<Item = &'a [f32]>, dim: usize) -> Embedding {
-    let mut sum = vec![0.0f32; dim];
+/// Mean-pool the token vectors of `text` into `out` — the one pooling path
+/// of the static models. `add_token` adds one token's vector into the
+/// running sum and reports whether the token has a vector; tokens without
+/// one are skipped, and text with none (all tokens OOV, or empty text)
+/// pools to the zero vector.
+///
+/// Arithmetic order, which every static model's embeddings are pinned to:
+/// the sum starts at `+0.0`, tokens are added in text order, and the sum
+/// is multiplied by `1 / n`.
+pub(crate) fn mean_pool_into(
+    text: &str,
+    out: &mut [f32],
+    mut add_token: impl FnMut(&str, &mut [f32]) -> bool,
+) {
+    out.fill(0.0);
+    let normalized = normalize(text);
     let mut n = 0usize;
-    for v in vecs {
-        debug_assert_eq!(v.len(), dim);
-        for (s, x) in sum.iter_mut().zip(v) {
-            *s += x;
+    for token in tokens_of(&normalized) {
+        if add_token(token, out) {
+            n += 1;
         }
-        n += 1;
     }
     if n > 0 {
         let inv = 1.0 / n as f32;
-        for s in sum.iter_mut() {
+        for s in out.iter_mut() {
             *s *= inv;
         }
     }
-    Embedding(sum)
+}
+
+/// `sum += v`, element-wise.
+pub(crate) fn add_into(sum: &mut [f32], v: &[f32]) {
+    debug_assert_eq!(sum.len(), v.len());
+    for (s, x) in sum.iter_mut().zip(v) {
+        *s += x;
+    }
 }
 
 /// Validate a flat row-major matrix loaded from JSON against its declared
@@ -202,11 +220,21 @@ mod tests {
 
     #[test]
     fn mean_pool_averages_and_handles_empty() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 6.0];
-        let pooled = mean_pool([a.as_slice(), b.as_slice()].into_iter(), 2);
-        assert_eq!(pooled, Embedding(vec![2.0, 4.0]));
-        assert_eq!(mean_pool(std::iter::empty(), 2), Embedding::zeros(2));
+        let vector = |token: &str| match token {
+            "a" => Some([1.0f32, 2.0]),
+            "b" => Some([3.0f32, 6.0]),
+            _ => None,
+        };
+        let pool = |text: &str| {
+            let mut out = [f32::NAN; 2];
+            mean_pool_into(text, &mut out, |token, sum| {
+                vector(token).map(|v| add_into(sum, &v)).is_some()
+            });
+            out
+        };
+        assert_eq!(pool("A, b zzz"), [2.0, 4.0]);
+        assert_eq!(pool("zzz qqq"), [0.0, 0.0]);
+        assert_eq!(pool(""), [0.0, 0.0]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! numbers off exactly this curve.
 
 use crate::clusterers::Clusterer;
+use crate::umc::unique_mapping_clustering;
 use er_core::{GroundTruth, ScoredPair};
 use er_eval::Metrics;
+use std::collections::HashSet;
 
 /// One evaluated operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -49,25 +51,32 @@ impl ThresholdSweep {
         ThresholdSweep::run_with(pairs, gt, Clusterer::UniqueMapping, &Self::paper_deltas())
     }
 
-    /// Sweep an arbitrary clusterer over an arbitrary δ grid.
+    /// Sweep an arbitrary clusterer over an arbitrary δ grid; points come
+    /// back in grid order. UMC computes the whole curve from one
+    /// clustering run (`umc_points`); the other clusterers run afresh at
+    /// every δ. Either way each point is bit-identical to clustering at
+    /// that δ and scoring the matches with [`Metrics::of_pairs`].
     pub fn run_with(
         pairs: &[ScoredPair],
         gt: &GroundTruth,
         clusterer: Clusterer,
         deltas: &[f32],
     ) -> ThresholdSweep {
-        let points = deltas
-            .iter()
-            .map(|&delta| {
-                let matches = clusterer.cluster(pairs, delta);
-                let metrics = Metrics::of_pairs(&matches, gt);
-                SweepPoint {
-                    delta,
-                    matches,
-                    metrics,
-                }
-            })
-            .collect();
+        let points = match clusterer {
+            Clusterer::UniqueMapping => umc_points(pairs, gt, deltas),
+            _ => deltas
+                .iter()
+                .map(|&delta| {
+                    let matches = clusterer.cluster(pairs, delta);
+                    let metrics = Metrics::of_pairs(&matches, gt);
+                    SweepPoint {
+                        delta,
+                        matches,
+                        metrics,
+                    }
+                })
+                .collect(),
+        };
         ThresholdSweep { clusterer, points }
     }
 
@@ -89,6 +98,50 @@ impl ThresholdSweep {
     pub fn f1_curve(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.metrics.f1).collect()
     }
+}
+
+/// UMC's curve from one clustering run. UMC accepts pairs in a fixed
+/// score-descending order (a total order), and `score >= δ` keeps an upper
+/// segment of that order, so its matches at any δ are the prefix of its
+/// matches at the grid's lowest δ that scores at least δ. Prefix counts of
+/// distinct pairs (order-normalized and counted once, as
+/// [`Metrics::of_pairs`] does for Dirty ER) and of true pairs then give
+/// every δ's metrics without re-clustering.
+fn umc_points(pairs: &[ScoredPair], gt: &GroundTruth, deltas: &[f32]) -> Vec<SweepPoint> {
+    // `f32::min` skips NaN; a NaN δ keeps nothing, at any position.
+    let Some(lowest) = deltas.iter().copied().reduce(f32::min) else {
+        return Vec::new();
+    };
+    let accepted = unique_mapping_clustering(pairs, lowest);
+    // counts[i] = (distinct pairs, true pairs) among accepted[..i].
+    let mut counts = Vec::with_capacity(accepted.len() + 1);
+    let (mut distinct, mut true_pos) = (0usize, 0usize);
+    let mut seen = HashSet::with_capacity(accepted.len());
+    counts.push((distinct, true_pos));
+    for p in &accepted {
+        let key = if gt.is_dirty() && p.left > p.right {
+            (p.right, p.left)
+        } else {
+            (p.left, p.right)
+        };
+        if seen.insert(key) {
+            distinct += 1;
+            true_pos += usize::from(gt.contains(key.0, key.1));
+        }
+        counts.push((distinct, true_pos));
+    }
+    deltas
+        .iter()
+        .map(|&delta| {
+            let end = accepted.partition_point(|p| p.score >= delta);
+            let (distinct, tp) = counts[end];
+            SweepPoint {
+                delta,
+                matches: accepted[..end].to_vec(),
+                metrics: Metrics::from_counts(tp, distinct - tp, gt.len() - tp),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,14 @@
 /// n-gram bucketing and cache keys; must never change across releases or
 /// saved models would silently re-bucket.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash over more bytes, so a byte string can be hashed
+/// piecewise: `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -38,11 +45,48 @@ pub fn char_ngrams(word: &str, nmin: usize, nmax: usize) -> Vec<String> {
 
 /// Hashed bucket ids of the word's n-grams (`bucket = fnv1a(gram) % buckets`).
 pub fn hashed_ngrams(word: &str, nmin: usize, nmax: usize, buckets: usize) -> Vec<u32> {
+    let mut ids = Vec::new();
+    for_each_ngram_bucket(word, nmin, nmax, buckets, |id| ids.push(id));
+    ids
+}
+
+/// Visit the bucket id of every padded n-gram of `word`, in the order of
+/// [`char_ngrams`], without allocating: each gram is hashed straight from
+/// a byte range of the virtual padded word `<word>`, cut at char
+/// boundaries. The hot path of FastText's out-of-vocabulary embedding.
+pub fn for_each_ngram_bucket(
+    word: &str,
+    nmin: usize,
+    nmax: usize,
+    buckets: usize,
+    mut f: impl FnMut(u32),
+) {
+    assert!(nmin >= 1 && nmin <= nmax, "bad n-gram range");
     assert!(buckets > 0, "need at least one bucket");
-    char_ngrams(word, nmin, nmax)
-        .iter()
-        .map(|g| (fnv1a(g.as_bytes()) % buckets as u64) as u32)
-        .collect()
+    let bytes = word.as_bytes();
+    let len = bytes.len();
+    // Byte offsets of the padded word's char boundaries: `<` at 0, the
+    // word's chars shifted by one, `>` at len + 1, the end at len + 2.
+    let bounds = || {
+        std::iter::once(0)
+            .chain(word.char_indices().map(|(at, _)| at + 1))
+            .chain([len + 1, len + 2])
+    };
+    for n in nmin..=nmax {
+        // `zip` stops at the last window, so words shorter than `n`
+        // padded chars yield nothing — like `char_ngrams`.
+        for (start, end) in bounds().zip(bounds().skip(n)) {
+            let mut h = FNV_OFFSET;
+            if start == 0 {
+                h = fnv1a_extend(h, b"<");
+            }
+            h = fnv1a_extend(h, &bytes[start.max(1) - 1..end.min(len + 1) - 1]);
+            if end == len + 2 {
+                h = fnv1a_extend(h, b">");
+            }
+            f((h % buckets as u64) as u32);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -67,6 +111,17 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"<ca"), fnv1a(b"<ca"));
         assert_ne!(fnv1a(b"<ca"), fnv1a(b"ca>"));
+    }
+
+    #[test]
+    fn visitor_hashes_the_same_grams_as_the_string_path() {
+        for (word, nmin, nmax) in [("cat", 3, 4), ("a", 1, 6), ("", 1, 3), ("é日🦀x", 2, 5)] {
+            let expected: Vec<u32> = char_ngrams(word, nmin, nmax)
+                .iter()
+                .map(|g| (fnv1a(g.as_bytes()) % 97) as u32)
+                .collect();
+            assert_eq!(hashed_ngrams(word, nmin, nmax, 97), expected, "{word:?}");
+        }
     }
 
     #[test]

@@ -13,11 +13,14 @@ pub const MASK_TOKEN: &str = "[mask]";
 
 /// Tokenize into normalized lowercase words.
 pub fn tokenize(text: &str) -> Vec<String> {
-    normalize(text)
-        .split(' ')
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect()
+    tokens_of(&normalize(text)).map(str::to_string).collect()
+}
+
+/// The words of already-[`normalize`]d text, borrowed from it — the
+/// allocation-free core of [`tokenize`], for callers that visit each token
+/// once (the static models' pooling).
+pub fn tokens_of(normalized: &str) -> impl Iterator<Item = &str> {
+    normalized.split(' ').filter(|t| !t.is_empty())
 }
 
 #[cfg(test)]
