@@ -78,6 +78,7 @@ fn bench_query(c: &mut Criterion) {
 fn bench_batched_search(c: &mut Criterion) {
     let vectors = random_vectors(1_200, 64, 10);
     let queries = random_vectors(128, 64, 11);
+    let query_rows = EmbeddingMatrix::from_embeddings(&queries);
     let index = HnswIndex::build(&vectors, HnswConfig::default());
     let mut group = c.benchmark_group("hnsw_batch_vs_sequential_128q");
     group.bench_function("sequential", |b| {
@@ -87,8 +88,8 @@ fn bench_batched_search(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("search_batch", |b| {
-        b.iter(|| black_box(index.search_batch(&queries, 10)));
+    group.bench_function("search_batch_rows", |b| {
+        b.iter(|| black_box(index.search_batch_rows(&query_rows, 10)));
     });
     group.finish();
 }

@@ -257,15 +257,15 @@ fn crossover_section(pipeline: &Pipeline) -> Json {
             run();
             start.elapsed().as_secs_f64() * 1e3
         };
-        let block = |config: &TopKConfig| {
+        let block_once = |config: &TopKConfig| {
             let pairs = top_k_blocking_scored_matrix(&ids, &left, &ids, &right, config);
             assert!(!pairs.is_empty(), "n={n}: blocking produced no pairs");
         };
         let (mut exact_ms, mut hnsw_ms, mut hnsw_build_ms) = (f64::MAX, f64::MAX, f64::MAX);
         let mut build_evals = 0;
         for _ in 0..reps {
-            exact_ms = exact_ms.min(time_ms(&mut || block(&exact)));
-            hnsw_ms = hnsw_ms.min(time_ms(&mut || block(&hnsw)));
+            exact_ms = exact_ms.min(time_ms(&mut || block_once(&exact)));
+            hnsw_ms = hnsw_ms.min(time_ms(&mut || block_once(&hnsw)));
             hnsw_build_ms = hnsw_build_ms.min(time_ms(&mut || {
                 build_evals = HnswIndex::from_matrix(&right, hnsw_config.clone()).build_evals();
             }));

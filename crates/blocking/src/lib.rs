@@ -2,53 +2,25 @@
 //! blocker + candidate-set machinery, DeepBlocker-style Auto-Encoder
 //! blocker, token-overlap blocking).
 //!
-//! Ships row 12 complete: the embedding [`top_k_blocking`] pipeline over
-//! the `er-index` backends (exact / HNSW / LSH) plus the redundant-pair
-//! dedup. The DeepBlocker-style Auto-Encoder (row 13) and token-overlap
-//! blocking (row 14) land with the matching-SotA PR.
+//! Ships row 12 complete: the embedding top-k blocker
+//! [`top_k_blocking_scored_matrix`] over the `er-index` backends (exact /
+//! HNSW / LSH) plus the redundant-pair dedup [`dedup_scored`]. The
+//! DeepBlocker-style Auto-Encoder (row 13) and token-overlap blocking
+//! (row 14) land with the matching-SotA PR.
 
 pub mod topk;
 
-pub use topk::{
-    top_k_blocking, top_k_blocking_matrix, top_k_blocking_point, top_k_blocking_scored_matrix,
-    BlockerBackend, TopKConfig,
-};
+pub use topk::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
 
-use er_core::{EntityId, ScoredPair};
+use er_core::ScoredPair;
 
 /// Deduplicate candidate pairs produced by redundancy-positive blocking
-/// (k-NN from both sides, multiple blocks). Order-normalizes each pair for
-/// Dirty ER when `dirty` is set, drops self-pairs, and returns a sorted,
-/// unique candidate list.
-pub fn dedup_candidates(
-    pairs: impl IntoIterator<Item = (EntityId, EntityId)>,
-    dirty: bool,
-) -> Vec<(EntityId, EntityId)> {
-    let mut out: Vec<(EntityId, EntityId)> = pairs
-        .into_iter()
-        .filter_map(|(a, b)| {
-            if dirty {
-                match a.0.cmp(&b.0) {
-                    std::cmp::Ordering::Less => Some((a, b)),
-                    std::cmp::Ordering::Equal => None,
-                    std::cmp::Ordering::Greater => Some((b, a)),
-                }
-            } else {
-                Some((a, b))
-            }
-        })
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// The scored twin of [`dedup_candidates`]: order-normalize for Dirty ER,
-/// drop self-pairs, sort by `(left, right)` and keep one entry per id
-/// pair. Safe to apply to blocker output because every blocker similarity
-/// is bitwise symmetric in its endpoints (see
-/// `er_index::Metric::hit_similarity`), so flipping a pair never changes
-/// its score.
+/// (k-NN from both sides, multiple blocks): order-normalize each pair for
+/// Dirty ER when `dirty` is set, drop self-pairs, sort by `(left, right)`
+/// and keep one entry per id pair. Safe to apply to blocker output
+/// because every blocker similarity is bitwise symmetric in its endpoints
+/// (see `er_index::Metric::hit_similarity`), so flipping a pair never
+/// changes its score.
 pub fn dedup_scored(pairs: impl IntoIterator<Item = ScoredPair>, dirty: bool) -> Vec<ScoredPair> {
     let mut out: Vec<ScoredPair> = pairs
         .into_iter()
@@ -72,57 +44,70 @@ pub fn dedup_scored(pairs: impl IntoIterator<Item = ScoredPair>, dirty: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::EntityId;
+
+    /// Score each id pair symmetrically, as every blocker similarity is.
+    fn scored(raw: &[(EntityId, EntityId)]) -> Vec<ScoredPair> {
+        raw.iter()
+            .map(|&(a, b)| ScoredPair::new(a, b, 0.25 * (a.0 + b.0) as f32))
+            .collect()
+    }
+
+    /// Dedup scored pairs and keep only their id pairs.
+    fn dedup(raw: &[(EntityId, EntityId)], dirty: bool) -> Vec<(EntityId, EntityId)> {
+        dedup_scored(scored(raw), dirty)
+            .iter()
+            .map(ScoredPair::id_pair)
+            .collect()
+    }
 
     #[test]
     fn dirty_mode_normalizes_direction_and_drops_self_pairs() {
-        let raw = vec![
+        let raw = [
             (EntityId(2), EntityId(1)),
             (EntityId(1), EntityId(2)),
             (EntityId(3), EntityId(3)),
             (EntityId(1), EntityId(4)),
         ];
-        let deduped = dedup_candidates(raw, true);
         assert_eq!(
-            deduped,
+            dedup(&raw, true),
             vec![(EntityId(1), EntityId(2)), (EntityId(1), EntityId(4))]
         );
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        assert!(dedup_candidates(Vec::new(), true).is_empty());
-        assert!(dedup_candidates(Vec::new(), false).is_empty());
+        assert!(dedup(&[], true).is_empty());
+        assert!(dedup(&[], false).is_empty());
     }
 
     #[test]
     fn all_self_pairs_vanish_in_dirty_mode_but_survive_clean() {
         let raw: Vec<_> = (0..5).map(|i| (EntityId(i), EntityId(i))).collect();
         assert!(
-            dedup_candidates(raw.clone(), true).is_empty(),
+            dedup(&raw, true).is_empty(),
             "a Dirty-ER record cannot be its own duplicate"
         );
         // Clean-Clean ids live in separate namespaces: (i, i) is a real
         // cross-collection pair and must be kept (once).
         let doubled: Vec<_> = raw.iter().chain(raw.iter()).copied().collect();
-        assert_eq!(dedup_candidates(doubled, false), raw);
+        assert_eq!(dedup(&doubled, false), raw);
     }
 
     #[test]
     fn output_is_sorted_and_unique_in_both_modes() {
-        let raw = vec![
+        let raw = [
             (EntityId(9), EntityId(1)),
             (EntityId(0), EntityId(3)),
             (EntityId(9), EntityId(1)),
             (EntityId(1), EntityId(9)),
         ];
-        let dirty = dedup_candidates(raw.clone(), true);
         assert_eq!(
-            dirty,
+            dedup(&raw, true),
             vec![(EntityId(0), EntityId(3)), (EntityId(1), EntityId(9))]
         );
-        let clean = dedup_candidates(raw, false);
         assert_eq!(
-            clean,
+            dedup(&raw, false),
             vec![
                 (EntityId(0), EntityId(3)),
                 (EntityId(1), EntityId(9)),
@@ -132,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn scored_dedup_matches_unscored_dedup_on_the_id_pairs() {
+    fn scored_dedup_keeps_one_entry_per_id_pair() {
         let raw = [
             (EntityId(2), EntityId(1)),
             (EntityId(1), EntityId(2)),
@@ -140,16 +125,19 @@ mod tests {
             (EntityId(1), EntityId(4)),
             (EntityId(1), EntityId(4)),
         ];
-        let scored: Vec<ScoredPair> = raw
-            .iter()
-            .map(|&(a, b)| ScoredPair::new(a, b, 0.25 * (a.0 + b.0) as f32))
-            .collect();
-        for dirty in [false, true] {
-            let plain = dedup_candidates(raw.iter().copied(), dirty);
-            let rich = dedup_scored(scored.iter().copied(), dirty);
-            let projected: Vec<(EntityId, EntityId)> = rich.iter().map(|p| p.id_pair()).collect();
-            assert_eq!(projected, plain, "dirty={dirty}");
-        }
+        assert_eq!(
+            dedup(&raw, false),
+            vec![
+                (EntityId(1), EntityId(2)),
+                (EntityId(1), EntityId(4)),
+                (EntityId(2), EntityId(1)),
+                (EntityId(3), EntityId(3)),
+            ]
+        );
+        assert_eq!(
+            dedup(&raw, true),
+            vec![(EntityId(1), EntityId(2)), (EntityId(1), EntityId(4))]
+        );
     }
 
     #[test]
@@ -165,14 +153,13 @@ mod tests {
     fn clean_clean_keeps_direction() {
         // Left/right ids are distinct namespaces in Clean-Clean ER: (2,1)
         // means left#2 vs right#1 and must not be flipped.
-        let raw = vec![
+        let raw = [
             (EntityId(2), EntityId(1)),
             (EntityId(2), EntityId(1)),
             (EntityId(1), EntityId(1)),
         ];
-        let deduped = dedup_candidates(raw, false);
         assert_eq!(
-            deduped,
+            dedup(&raw, false),
             vec![(EntityId(1), EntityId(1)), (EntityId(2), EntityId(1))]
         );
     }

@@ -3,24 +3,19 @@
 //! embedding, and keep every `(query, neighbour)` pair as a candidate —
 //! the paper's Fig. 3 blocking recipe (DeepER lineage, §4.3).
 //!
-//! The native storage is the columnar [`EmbeddingMatrix`]:
-//! [`top_k_blocking_scored_matrix`] builds the chosen index *borrowing*
-//! the right side (zero-copy), batch-queries it with the left side's rows
-//! via [`NnIndex::search_batch_rows`] (fanning out over a scoped-thread
-//! worker pool while staying bit-identical to sequential search), and
-//! threads each hit's similarity outward as a [`ScoredPair`] — the
-//! scored-candidate contract the matchers consume (see
-//! [`Metric::hit_similarity`]: cosine scores are bit-identical to
-//! `er_matching::similarity::cosine`). The unscored
-//! [`top_k_blocking_matrix`] and the legacy [`top_k_blocking`] entry
-//! points are thin projections of the same code path, so all three emit
-//! candidates in the same canonical `(left, right)` order.
+//! [`top_k_blocking_scored_matrix`] is the one blocking function. It
+//! builds the chosen index *borrowing* the right side's columnar
+//! [`EmbeddingMatrix`] (zero-copy), batch-queries it with the left side's
+//! rows via [`NnIndex::search_batch_rows`] (fanning out over a
+//! scoped-thread worker pool while staying bit-identical to sequential
+//! search), and threads each hit's similarity outward as a
+//! [`ScoredPair`] — the scored-candidate contract the matchers consume
+//! (see [`Metric::hit_similarity`]: cosine scores are bit-identical to
+//! `er_matching::similarity::cosine`). An [`OperatingPoint`] becomes a
+//! blocking config through [`TopKConfig::from_point`].
 
 use crate::dedup_scored;
-use er_core::{
-    BackendParams, Embedding, EmbeddingMatrix, EntityId, HnswParams, LshParams, OperatingPoint,
-    ScanConfig, ScoredPair,
-};
+use er_core::{BackendParams, EmbeddingMatrix, EntityId, OperatingPoint, ScanConfig, ScoredPair};
 use er_index::{ExactIndex, HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, Metric, NnIndex};
 
 /// Which index serves the k-NN queries.
@@ -72,7 +67,7 @@ pub struct TopKConfig {
     pub backend: BlockerBackend,
     /// Dirty ER: both sides are the same collection, so pairs are
     /// order-normalized and self-pairs dropped (see
-    /// [`crate::dedup_candidates`]).
+    /// [`crate::dedup_scored`]).
     pub dirty: bool,
     /// Kernel tier / quantization for the *Exact* backend's scan (HNSW and
     /// LSH carry their own `tier` in their configs). The default is the
@@ -124,13 +119,12 @@ impl Default for TopKConfig {
 
 impl TopKConfig {
     /// Derive a blocking config from a unified [`OperatingPoint`] — the
-    /// preferred construction path since the config redesign (the legacy
-    /// struct remains supported; see the crate docs' deprecation note).
-    /// Validates the point first, so a self-contradictory configuration
-    /// (e.g. a quantized scan on an approximate backend) surfaces as a
-    /// typed `ErError::Config` instead of silently misconfiguring a
-    /// backend. The point's single `metric`/`scan.tier` feed every backend
-    /// config, which is what closes the "two scans disagree" footgun.
+    /// one conversion from a point to blocking. Validates the point first,
+    /// so a self-contradictory configuration (e.g. a quantized scan on an
+    /// approximate backend) surfaces as a typed `ErError::Config` instead
+    /// of silently misconfiguring a backend. The point's single
+    /// `metric`/`scan.tier` feed every backend config, which is what
+    /// closes the "two scans disagree" footgun.
     pub fn from_point(point: &OperatingPoint) -> er_core::Result<TopKConfig> {
         point.validate()?;
         let backend = match point.backend {
@@ -167,97 +161,12 @@ impl TopKConfig {
     }
 }
 
-impl TryFrom<&OperatingPoint> for TopKConfig {
-    type Error = er_core::ErError;
-
-    fn try_from(point: &OperatingPoint) -> er_core::Result<TopKConfig> {
-        TopKConfig::from_point(point)
-    }
-}
-
-/// Lift a legacy blocking config into the unified [`OperatingPoint`].
-/// Total (never fails): every constructible `TopKConfig` has a unified
-/// form. For approximate backends the point's scan tier is the *backend's*
-/// tier — the one that actually ranks — and any quantization set on the
-/// legacy `scan` field (which those backends silently ignored: the
-/// footgun) is dropped.
-impl From<&TopKConfig> for OperatingPoint {
-    fn from(config: &TopKConfig) -> OperatingPoint {
-        let (backend, scan) = match &config.backend {
-            BlockerBackend::Exact(_) => (BackendParams::Exact, config.scan),
-            BlockerBackend::Hnsw(c) => (
-                BackendParams::HnswWith(HnswParams {
-                    m: c.m,
-                    ef_construction: c.ef_construction,
-                    ef_search: c.ef_search,
-                    seed: c.seed,
-                }),
-                ScanConfig::with_tier(c.tier),
-            ),
-            BlockerBackend::Lsh(c) => (
-                BackendParams::LshWith(LshParams {
-                    planes: c.planes,
-                    tables: c.tables,
-                    probes: c.probes,
-                    seed: c.seed,
-                }),
-                ScanConfig::with_tier(c.tier),
-            ),
-        };
-        OperatingPoint {
-            k: config.k,
-            metric: config.backend.metric(),
-            backend,
-            scan,
-            dirty: config.dirty,
-            recall_target: None,
-            budget_ns: None,
-        }
-    }
-}
-
-/// Run top-k blocking over legacy per-entity embeddings: each side is
-/// copied once into an [`EmbeddingMatrix`] and handed to
-/// [`top_k_blocking_matrix`], whose candidates it returns unchanged.
-///
-/// For Dirty ER pass the same collection as both sides with
-/// `config.dirty = true`; self-matches are removed by the dedup pass.
-pub fn top_k_blocking(
-    left_ids: &[EntityId],
-    left_vectors: &[Embedding],
-    right_ids: &[EntityId],
-    right_vectors: &[Embedding],
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    top_k_blocking_matrix(
-        left_ids,
-        &EmbeddingMatrix::from_embeddings(left_vectors),
-        right_ids,
-        &EmbeddingMatrix::from_embeddings(right_vectors),
-        config,
-    )
-}
-
 /// Run top-k blocking over columnar storage: index `right` (borrowed,
 /// zero-copy), batch-query it with every row of `left`, and return the
-/// deduplicated candidate pairs `(left id, right id)` — the unscored
-/// projection of [`top_k_blocking_scored_matrix`], in the same order.
-pub fn top_k_blocking_matrix(
-    left_ids: &[EntityId],
-    left: &EmbeddingMatrix,
-    right_ids: &[EntityId],
-    right: &EmbeddingMatrix,
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    top_k_blocking_scored_matrix(left_ids, left, right_ids, right, config)
-        .into_iter()
-        .map(|p| p.id_pair())
-        .collect()
-}
-
-/// The scored variant of [`top_k_blocking_matrix`]: every surviving
-/// candidate carries the similarity the matchers consume, threaded from
-/// the index hit via [`Metric::hit_similarity`].
+/// deduplicated candidates, each carrying the similarity the matchers
+/// consume, threaded from the index hit via [`Metric::hit_similarity`].
+/// For Dirty ER pass the same matrix as both sides with
+/// `config.dirty = true`; self-matches are removed by the dedup pass.
 ///
 /// For cosine backends the score is recomputed as
 /// `kernels::cosine_prenorm(left row, cached left norm, right row, cached
@@ -315,25 +224,6 @@ pub fn top_k_blocking_scored_matrix(
     }
 }
 
-/// [`top_k_blocking_scored_matrix`] driven by a unified
-/// [`OperatingPoint`] — validate the point, derive the blocking config,
-/// run the scored blocker. The typed `ErError::Config` error is the only
-/// way this differs from the legacy path: a valid point produces
-/// candidates bit-identical to [`top_k_blocking_scored_matrix`] with
-/// `TopKConfig::from_point(point)`.
-pub fn top_k_blocking_point(
-    left_ids: &[EntityId],
-    left: &EmbeddingMatrix,
-    right_ids: &[EntityId],
-    right: &EmbeddingMatrix,
-    point: &OperatingPoint,
-) -> er_core::Result<Vec<ScoredPair>> {
-    let config = TopKConfig::from_point(point)?;
-    Ok(top_k_blocking_scored_matrix(
-        left_ids, left, right_ids, right, &config,
-    ))
-}
-
 fn query_all<I: NnIndex + Sync>(
     index: &I,
     left_ids: &[EntityId],
@@ -364,43 +254,51 @@ fn query_all<I: NnIndex + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::{Embedding, HnswParams, LshParams};
 
     fn ids(n: u32) -> Vec<EntityId> {
         (0..n).map(EntityId).collect()
     }
 
     /// Two tight clusters far apart: blocking must pair within clusters.
-    fn clustered() -> (Vec<Embedding>, Vec<Embedding>) {
-        let left = vec![
+    fn clustered() -> (EmbeddingMatrix, EmbeddingMatrix) {
+        let left = [
             Embedding(vec![0.0, 1.0]),
             Embedding(vec![0.1, 1.0]),
             Embedding(vec![10.0, 0.0]),
         ];
-        let right = vec![
+        let right = [
             Embedding(vec![0.05, 1.0]),
             Embedding(vec![10.1, 0.1]),
             Embedding(vec![9.9, 0.0]),
         ];
-        (left, right)
+        (
+            EmbeddingMatrix::from_embeddings(&left),
+            EmbeddingMatrix::from_embeddings(&right),
+        )
+    }
+
+    /// Block 3 × 3 rows and keep only the id pairs.
+    fn id_pairs(
+        left: &EmbeddingMatrix,
+        right: &EmbeddingMatrix,
+        config: &TopKConfig,
+    ) -> Vec<(EntityId, EntityId)> {
+        top_k_blocking_scored_matrix(&ids(3), left, &ids(3), right, config)
+            .iter()
+            .map(ScoredPair::id_pair)
+            .collect()
+    }
+
+    fn euclidean(k: usize) -> TopKConfig {
+        TopKConfig::new(k).backend(BlockerBackend::Exact(Metric::Euclidean))
     }
 
     #[test]
     fn exact_backend_pairs_within_clusters() {
         let (left, right) = clustered();
-        let candidates = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: false,
-                ..TopKConfig::default()
-            },
-        );
         assert_eq!(
-            candidates,
+            id_pairs(&left, &right, &euclidean(1)),
             vec![
                 (EntityId(0), EntityId(0)),
                 (EntityId(1), EntityId(0)),
@@ -413,87 +311,83 @@ mod tests {
     fn k_bounds_the_candidate_count() {
         let (left, right) = clustered();
         for k in [1usize, 2, 3, 10] {
-            let candidates = top_k_blocking(
-                &ids(3),
-                &left,
-                &ids(3),
-                &right,
-                &TopKConfig {
-                    k,
-                    backend: BlockerBackend::Exact(Metric::Euclidean),
-                    dirty: false,
-                    ..TopKConfig::default()
-                },
-            );
-            assert!(candidates.len() <= 3 * k.min(3));
+            assert!(id_pairs(&left, &right, &euclidean(k)).len() <= 3 * k.min(3));
         }
     }
 
     #[test]
     fn dirty_mode_self_blocks_without_self_pairs() {
-        let vectors = vec![
+        let vectors = EmbeddingMatrix::from_embeddings(&[
             Embedding(vec![0.0, 1.0]),
             Embedding(vec![0.0, 1.01]),
             Embedding(vec![5.0, 0.0]),
             Embedding(vec![5.0, 0.01]),
-        ];
+        ]);
         let ids = ids(4);
-        let candidates = top_k_blocking(
-            &ids,
-            &vectors,
-            &ids,
-            &vectors,
-            &TopKConfig {
-                k: 2,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: true,
-                ..TopKConfig::default()
-            },
-        );
+        let candidates: Vec<_> =
+            top_k_blocking_scored_matrix(&ids, &vectors, &ids, &vectors, &euclidean(2).dirty(true))
+                .iter()
+                .map(ScoredPair::id_pair)
+                .collect();
         assert!(candidates.iter().all(|(a, b)| a < b), "{candidates:?}");
         assert!(candidates.contains(&(EntityId(0), EntityId(1))));
         assert!(candidates.contains(&(EntityId(2), EntityId(3))));
     }
 
     #[test]
-    fn matrix_path_and_legacy_path_emit_identical_candidates() {
+    fn vec_built_indices_block_like_the_matrix_path() {
+        // An index built from `Vec<Embedding>` owns a copy of the rows;
+        // searching that copy row by row must yield the candidates the
+        // blocker finds over the borrowed matrix, on every backend.
         let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
-        let backends = [
-            BlockerBackend::Exact(Metric::Cosine),
-            BlockerBackend::Hnsw(HnswConfig::default()),
-            BlockerBackend::Lsh(LshConfig {
-                tables: 4,
-                ..LshConfig::default()
-            }),
+        let vectors = right.to_embeddings();
+        let lsh = LshConfig {
+            tables: 4,
+            ..LshConfig::default()
+        };
+        let cases: [(BlockerBackend, Box<dyn NnIndex>); 3] = [
+            (
+                BlockerBackend::Exact(Metric::Cosine),
+                Box::new(ExactIndex::with_metric(&vectors, Metric::Cosine)),
+            ),
+            (
+                BlockerBackend::Hnsw(HnswConfig::default()),
+                Box::new(HnswIndex::build(&vectors, HnswConfig::default())),
+            ),
+            (
+                BlockerBackend::Lsh(lsh.clone()),
+                Box::new(HyperplaneLsh::build(&vectors, lsh)),
+            ),
         ];
-        for backend in backends {
-            let config = TopKConfig {
-                k: 2,
-                backend,
-                dirty: false,
-                ..TopKConfig::default()
-            };
-            let legacy = top_k_blocking(&ids(3), &left, &ids(3), &right, &config);
-            let matrix =
-                top_k_blocking_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
-            assert_eq!(legacy, matrix, "{:?}", config.backend);
+        for (backend, index) in cases {
+            let mut sequential: Vec<_> = (0..left.len())
+                .flat_map(|i| {
+                    index
+                        .search_slice(left.row(i), 2)
+                        .into_iter()
+                        .map(move |n| (EntityId(i as u32), EntityId(n.index as u32)))
+                })
+                .collect();
+            sequential.sort_unstable();
+            sequential.dedup();
+            let config = TopKConfig::new(2).backend(backend);
+            assert_eq!(
+                id_pairs(&left, &right, &config),
+                sequential,
+                "{:?}",
+                config.backend
+            );
         }
     }
 
     #[test]
     fn empty_sides_and_zero_k_yield_no_candidates() {
         let (left, right) = clustered();
-        let cfg = TopKConfig {
-            k: 0,
-            backend: BlockerBackend::Exact(Metric::Euclidean),
-            dirty: false,
-            ..TopKConfig::default()
-        };
-        assert!(top_k_blocking(&ids(3), &left, &ids(3), &right, &cfg).is_empty());
-        assert!(top_k_blocking(&[], &[], &ids(3), &right, &TopKConfig::default()).is_empty());
-        assert!(top_k_blocking(&ids(3), &left, &[], &[], &TopKConfig::default()).is_empty());
+        let empty = EmbeddingMatrix::new(2);
+        let default = TopKConfig::default();
+        assert!(id_pairs(&left, &right, &euclidean(0)).is_empty());
+        assert!(top_k_blocking_scored_matrix(&[], &empty, &ids(3), &right, &default).is_empty());
+        assert!(top_k_blocking_scored_matrix(&ids(3), &left, &[], &empty, &default).is_empty());
     }
 
     #[test]
@@ -527,10 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn scored_candidates_project_onto_the_unscored_path() {
+    fn scored_candidates_are_sorted_unique_and_finite() {
         let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
         for backend in [
             BlockerBackend::Exact(Metric::Cosine),
             BlockerBackend::Exact(Metric::Euclidean),
@@ -538,21 +430,12 @@ mod tests {
             BlockerBackend::Lsh(LshConfig::default()),
         ] {
             let config = TopKConfig::new(2).backend(backend);
-            let scored = top_k_blocking_scored_matrix(
-                &ids(3),
-                &left_matrix,
-                &ids(3),
-                &right_matrix,
-                &config,
-            );
-            let plain =
-                top_k_blocking_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
-            assert_eq!(
-                scored.iter().map(|p| p.id_pair()).collect::<Vec<_>>(),
-                plain,
-                "{:?}",
-                config.backend
-            );
+            let scored = top_k_blocking_scored_matrix(&ids(3), &left, &ids(3), &right, &config);
+            let pairs: Vec<_> = scored.iter().map(ScoredPair::id_pair).collect();
+            let mut canonical = pairs.clone();
+            canonical.sort_unstable();
+            canonical.dedup();
+            assert_eq!(pairs, canonical, "{:?}", config.backend);
             assert!(
                 scored.iter().all(|p| p.score.is_finite()),
                 "{:?}",
@@ -563,9 +446,7 @@ mod tests {
 
     #[test]
     fn cosine_scores_are_bit_identical_to_the_kernel() {
-        let (left, right) = clustered();
-        let left_matrix = EmbeddingMatrix::from_embeddings(&left);
-        let right_matrix = EmbeddingMatrix::from_embeddings(&right);
+        let (left_matrix, right_matrix) = clustered();
         let config = TopKConfig::new(3).backend(BlockerBackend::Exact(Metric::Cosine));
         let scored =
             top_k_blocking_scored_matrix(&ids(3), &left_matrix, &ids(3), &right_matrix, &config);
@@ -580,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn operating_point_round_trips_through_the_legacy_config() {
+    fn operating_point_converts_to_the_equivalent_config() {
         let point = OperatingPoint::default()
             .k(7)
             .metric(Metric::Euclidean)
@@ -593,21 +474,21 @@ mod tests {
         let config = TopKConfig::from_point(&point).unwrap();
         assert_eq!(config.k, 7);
         assert!(config.dirty);
+        // Every graph knob of the point reaches the backend config.
+        let params = point.backend.hnsw().unwrap();
         match &config.backend {
             BlockerBackend::Hnsw(c) => {
                 assert_eq!(c.m, 8);
                 assert_eq!(c.ef_search, 32);
                 assert_eq!(c.metric, Metric::Euclidean);
+                assert_eq!(c.ef_construction, params.ef_construction);
+                assert_eq!(c.seed, params.seed);
+                assert_eq!(c.tier, point.scan.tier);
             }
             other => panic!("expected HNSW, got {other:?}"),
         }
-        // And back: the lifted point carries the same knobs (tuning goals
-        // are not part of the legacy struct, so they reset to None).
-        let lifted = OperatingPoint::from(&config);
-        assert_eq!(lifted.k, point.k);
-        assert_eq!(lifted.metric, point.metric);
-        assert_eq!(lifted.backend, point.backend);
-        assert_eq!(lifted.dirty, point.dirty);
+        assert_eq!(config.backend.metric(), point.metric);
+        assert_eq!(config.scan, point.scan);
     }
 
     #[test]
@@ -620,33 +501,36 @@ mod tests {
             });
         let err = TopKConfig::from_point(&bad).unwrap_err();
         assert!(matches!(err, er_core::ErError::Config(_)), "{err}");
-        let (left, right) = clustered();
-        let lm = EmbeddingMatrix::from_embeddings(&left);
-        let rm = EmbeddingMatrix::from_embeddings(&right);
-        assert!(top_k_blocking_point(&ids(3), &lm, &ids(3), &rm, &bad).is_err());
     }
 
     #[test]
-    fn point_blocking_is_bit_identical_to_the_legacy_path() {
-        let (left, right) = clustered();
-        let lm = EmbeddingMatrix::from_embeddings(&left);
-        let rm = EmbeddingMatrix::from_embeddings(&right);
-        for point in [
-            OperatingPoint::default().k(2),
-            OperatingPoint::default().k(2).hnsw(HnswParams::default()),
-            OperatingPoint::default().k(2).lsh(LshParams {
-                tables: 4,
-                ..LshParams::default()
-            }),
+    fn point_blocking_is_bit_identical_to_the_hand_built_config() {
+        let (lm, rm) = clustered();
+        let cosine_hnsw = HnswConfig {
+            metric: Metric::Cosine,
+            ..HnswConfig::default()
+        };
+        let lsh = LshConfig {
+            tables: 4,
+            ..LshConfig::default()
+        };
+        for (point, hand_built) in [
+            (OperatingPoint::default().k(2), TopKConfig::new(2)),
+            (
+                OperatingPoint::default().k(2).hnsw(HnswParams::default()),
+                TopKConfig::new(2).backend(BlockerBackend::Hnsw(cosine_hnsw)),
+            ),
+            (
+                OperatingPoint::default().k(2).lsh(LshParams {
+                    tables: 4,
+                    ..LshParams::default()
+                }),
+                TopKConfig::new(2).backend(BlockerBackend::Lsh(lsh)),
+            ),
         ] {
-            let via_point = top_k_blocking_point(&ids(3), &lm, &ids(3), &rm, &point).unwrap();
-            let via_config = top_k_blocking_scored_matrix(
-                &ids(3),
-                &lm,
-                &ids(3),
-                &rm,
-                &TopKConfig::from_point(&point).unwrap(),
-            );
+            let from_point = TopKConfig::from_point(&point).unwrap();
+            let via_point = top_k_blocking_scored_matrix(&ids(3), &lm, &ids(3), &rm, &from_point);
+            let via_config = top_k_blocking_scored_matrix(&ids(3), &lm, &ids(3), &rm, &hand_built);
             assert_eq!(via_point.len(), via_config.len());
             for (a, b) in via_point.iter().zip(&via_config) {
                 assert_eq!(a.id_pair(), b.id_pair());
@@ -656,56 +540,48 @@ mod tests {
     }
 
     #[test]
-    fn default_point_matches_the_default_legacy_config() {
-        // The unified default and the legacy default describe the same run
-        // — the exact cosine scan — compared in canonical JSON.
-        let from_default_config = OperatingPoint::from(&TopKConfig::default());
+    fn default_point_matches_the_default_config() {
+        // The unified default and the config default describe the same run
+        // — the exact cosine scan.
         let default_point = OperatingPoint::default();
-        assert_eq!(from_default_config.to_json(), default_point.to_json());
         assert_eq!(default_point.backend, BackendParams::Exact);
-        // An explicit default-HNSW config lifts to the parameterless HNSW
-        // point (`Hnsw` and `HnswWith(defaults)` render identically).
+        let from_default_point = TopKConfig::from_point(&default_point).unwrap();
+        let default_config = TopKConfig::default();
+        assert_eq!(from_default_point.k, default_config.k);
+        assert_eq!(from_default_point.dirty, default_config.dirty);
+        assert_eq!(from_default_point.scan, default_config.scan);
+        assert_eq!(
+            format!("{:?}", from_default_point.backend),
+            format!("{:?}", default_config.backend)
+        );
+        // The parameterless HNSW point is the explicit default-HNSW cosine
+        // config (`Hnsw` and `HnswWith(defaults)` convert identically).
         let hnsw_config = TopKConfig::default().backend(BlockerBackend::Hnsw(HnswConfig {
             metric: Metric::Cosine,
             ..HnswConfig::default()
         }));
-        let hnsw_point = OperatingPoint {
-            backend: BackendParams::Hnsw,
-            ..OperatingPoint::default()
-        };
-        assert_eq!(
-            OperatingPoint::from(&hnsw_config).to_json(),
-            hnsw_point.to_json()
-        );
+        for backend in [
+            BackendParams::Hnsw,
+            BackendParams::HnswWith(HnswParams::default()),
+        ] {
+            let point = OperatingPoint {
+                backend,
+                ..OperatingPoint::default()
+            };
+            assert_eq!(
+                format!("{:?}", TopKConfig::from_point(&point).unwrap()),
+                format!("{hnsw_config:?}")
+            );
+        }
     }
 
     #[test]
     fn backends_agree_on_easy_data() {
         let (left, right) = clustered();
-        let exact = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Exact(Metric::Euclidean),
-                dirty: false,
-                ..TopKConfig::default()
-            },
+        let hnsw = TopKConfig::new(1).backend(BlockerBackend::Hnsw(HnswConfig::default()));
+        assert_eq!(
+            id_pairs(&left, &right, &euclidean(1)),
+            id_pairs(&left, &right, &hnsw)
         );
-        let hnsw = top_k_blocking(
-            &ids(3),
-            &left,
-            &ids(3),
-            &right,
-            &TopKConfig {
-                k: 1,
-                backend: BlockerBackend::Hnsw(HnswConfig::default()),
-                dirty: false,
-                ..TopKConfig::default()
-            },
-        );
-        assert_eq!(exact, hnsw);
     }
 }

@@ -3,9 +3,9 @@
 //! candidate-list contract, and agreement between the batch and
 //! sequential search paths.
 
-use er_blocking::{top_k_blocking, BlockerBackend, TopKConfig};
+use er_blocking::{top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
 use er_core::rng::rng;
-use er_core::{Embedding, EntityId, GroundTruth};
+use er_core::{Embedding, EmbeddingMatrix, EntityId, GroundTruth, ScoredPair};
 use er_eval::Metrics;
 use er_index::{HnswConfig, LshConfig, Metric};
 use rand::Rng;
@@ -20,7 +20,7 @@ fn planted(
     dim: usize,
     jitter: f32,
     seed: u64,
-) -> (Vec<Embedding>, Vec<Embedding>, GroundTruth) {
+) -> (EmbeddingMatrix, EmbeddingMatrix, GroundTruth) {
     let mut r = rng(seed);
     let left: Vec<Embedding> = (0..left_n)
         .map(|_| Embedding((0..dim).map(|_| r.gen_range(-1.0..1.0)).collect()))
@@ -41,11 +41,25 @@ fn planted(
     }
     let gt =
         GroundTruth::clean_clean((0..matches).map(|i| (EntityId(i as u32), EntityId(i as u32))));
-    (left, right, gt)
+    (
+        EmbeddingMatrix::from_embeddings(&left),
+        EmbeddingMatrix::from_embeddings(&right),
+        gt,
+    )
 }
 
-fn ids(n: usize) -> Vec<EntityId> {
-    (0..n as u32).map(EntityId).collect()
+/// Block `left` against `right` (ids are row numbers) and keep the id
+/// pairs.
+fn block_ids(
+    left: &EmbeddingMatrix,
+    right: &EmbeddingMatrix,
+    config: &TopKConfig,
+) -> Vec<(EntityId, EntityId)> {
+    let ids = |m: &EmbeddingMatrix| (0..m.len() as u32).map(EntityId).collect::<Vec<_>>();
+    top_k_blocking_scored_matrix(&ids(left), left, &ids(right), right, config)
+        .iter()
+        .map(ScoredPair::id_pair)
+        .collect()
 }
 
 #[test]
@@ -71,7 +85,7 @@ fn every_backend_recovers_planted_duplicates() {
             dirty: false,
             ..TopKConfig::default()
         };
-        let candidates = top_k_blocking(&ids(120), &left, &ids(120), &right, &config);
+        let candidates = block_ids(&left, &right, &config);
         let m = Metrics::of_candidates(&candidates, &gt);
         assert!(
             m.recall >= 0.9,
@@ -101,8 +115,8 @@ fn blocker_candidate_lists_are_deterministic() {
             dirty: false,
             ..TopKConfig::default()
         };
-        let a = top_k_blocking(&ids(100), &left, &ids(100), &right, &config);
-        let b = top_k_blocking(&ids(100), &left, &ids(100), &right, &config);
+        let a = block_ids(&left, &right, &config);
+        let b = block_ids(&left, &right, &config);
         assert_eq!(a, b, "same build, same candidates: {config:?}");
         assert!(!a.is_empty());
     }
@@ -120,7 +134,7 @@ fn blocker_candidate_lists_are_deterministic() {
         dirty: false,
         ..TopKConfig::default()
     };
-    let c = top_k_blocking(&ids(100), &left, &ids(100), &right, &reseeded);
+    let c = block_ids(&left, &right, &reseeded);
     assert!(!c.is_empty());
 }
 
@@ -136,7 +150,7 @@ fn candidate_set_is_far_smaller_than_cross_product() {
         dirty: false,
         ..TopKConfig::default()
     };
-    let candidates = top_k_blocking(&ids(150), &left, &ids(150), &right, &config);
+    let candidates = block_ids(&left, &right, &config);
     let cross = 150 * 150;
     assert!(
         candidates.len() * 4 < cross,

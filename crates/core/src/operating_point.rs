@@ -8,9 +8,10 @@
 //! (`TopKConfig`, `ScanConfig`, `HnswConfig`, `LshConfig`, `ServeConfig`)
 //! that could silently disagree — e.g. a `ServeConfig.scan` quantized while
 //! the blocker's `TopKConfig.scan` was not. An [`OperatingPoint`] is the
-//! single source of truth: `er-blocking`, the `Pipeline` facade and the
-//! `er-serve` `Resolver` all accept one directly (`From` impls derive the
-//! legacy structs), and [`OperatingPoint::validate`] rejects
+//! single source of truth: the blocking and serving configs are derived
+//! from one (`TopKConfig::from_point`, `ServeConfig::from_point`), the
+//! `Pipeline` facade's `resolve_tuned` runs on the point it tunes, and
+//! [`OperatingPoint::validate`] rejects
 //! self-contradictory settings with a typed [`ErError::Config`].
 //!
 //! Query-time parameters (HNSW beam width, LSH probes/tables) are carried

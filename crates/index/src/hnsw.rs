@@ -204,8 +204,7 @@ impl<'a> HnswIndex<'a> {
     ///
     /// Note: with the `er_core::OperatingPoint` redesign the preferred way
     /// to sweep the beam width is per query, via
-    /// [`IndexReader::search_counted`] /
-    /// [`IndexReader::search_params`] with
+    /// [`IndexReader::search_counted`] with
     /// `QueryParams { ef_search: Some(ef), .. }` — bit-identical to
     /// rebuilding through this setter (pinned by tests), without consuming
     /// the index.

@@ -84,12 +84,6 @@ pub trait IndexReader: NnIndex {
     /// prices those from the kernel calibration tables instead.
     fn search_counted(&self, query: &[f32], k: usize, params: &QueryParams)
         -> (Vec<Neighbor>, u64);
-
-    /// [`IndexReader::search_counted`] without the counter — the
-    /// parameter-sweeping search entry point.
-    fn search_params(&self, query: &[f32], k: usize, params: &QueryParams) -> Vec<Neighbor> {
-        self.search_counted(query, k, params).0
-    }
 }
 
 /// The writer handle on top of [`IndexReader`] — the `er-serve` mutation
@@ -146,58 +140,43 @@ pub trait NnIndex {
         self.search_slice(query.as_slice(), k)
     }
 
-    /// Batched search over many queries, parallelized across a scoped-thread
-    /// worker pool (no crates.io, so no rayon — plain `std::thread::scope`).
+    /// Batched search over the rows of an [`EmbeddingMatrix`] — the
+    /// pipeline's query path — parallelized across a scoped-thread worker
+    /// pool (no crates.io, so no rayon — plain `std::thread::scope`).
     ///
     /// Queries are split into contiguous chunks, one per worker, and the
     /// per-chunk results are reassembled in input order, so the output is
-    /// *identical* to calling [`NnIndex::search`] sequentially — blocking an
-    /// entire dataset saturates cores without sacrificing determinism.
-    fn search_batch(&self, queries: &[Embedding], k: usize) -> Vec<Vec<Neighbor>>
-    where
-        Self: Sync + Sized,
-    {
-        batch_by_chunks(queries.len(), |i| self.search(&queries[i], k))
-    }
-
-    /// [`NnIndex::search_batch`] over the rows of an [`EmbeddingMatrix`] —
-    /// the pipeline's query path. Same chunking, same in-order reassembly,
-    /// bit-identical to sequential [`NnIndex::search_slice`] calls.
+    /// *identical* to calling [`NnIndex::search_slice`] sequentially —
+    /// blocking an entire dataset saturates cores without sacrificing
+    /// determinism.
     fn search_batch_rows(&self, queries: &EmbeddingMatrix, k: usize) -> Vec<Vec<Neighbor>>
     where
         Self: Sync + Sized,
     {
-        batch_by_chunks(queries.len(), |i| self.search_slice(queries.row(i), k))
-    }
-}
-
-/// Fan `0..n` out over scoped-thread workers in contiguous chunks and
-/// reassemble the per-index results in input order.
-fn batch_by_chunks<F>(n: usize, search_one: F) -> Vec<Vec<Neighbor>>
-where
-    F: Fn(usize) -> Vec<Neighbor> + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return (0..n).map(&search_one).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let search_one = &search_one;
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                scope.spawn(move || (start..end).map(search_one).collect::<Vec<_>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("search worker panicked"));
+        let n = queries.len();
+        let search_one = |i: usize| self.search_slice(queries.row(i), k);
+        let workers = std::thread::available_parallelism()
+            .map(|w| w.get())
+            .unwrap_or(1)
+            .min(n);
+        if workers <= 1 {
+            return (0..n).map(search_one).collect();
         }
-    });
-    out
+        let chunk = n.div_ceil(workers);
+        let search_one = &search_one;
+        let mut out = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|start| {
+                    let end = (start + chunk).min(n);
+                    scope.spawn(move || (start..end).map(search_one).collect::<Vec<_>>())
+                })
+                .collect();
+            for handle in handles {
+                out.extend(handle.join().expect("search worker panicked"));
+            }
+        });
+        out
+    }
 }

@@ -4,7 +4,7 @@
 //! the sequential results.
 
 use er_core::rng::rng;
-use er_core::Embedding;
+use er_core::{Embedding, EmbeddingMatrix};
 use er_index::{HnswConfig, HnswIndex, HyperplaneLsh, LshConfig, NnIndex};
 use rand::Rng;
 
@@ -70,20 +70,24 @@ fn same_seed_builds_bit_identical_lsh_signatures() {
 fn search_batch_matches_sequential_search() {
     let vectors = random_vectors(400, 12, 26);
     let queries = random_vectors(67, 12, 27);
+    let query_rows = EmbeddingMatrix::from_embeddings(&queries);
     let hnsw = HnswIndex::build(&vectors, HnswConfig::default());
     let lsh = HyperplaneLsh::build(&vectors, LshConfig::default());
     let exact = er_index::ExactIndex::build(&vectors);
 
     let sequential: Vec<_> = queries.iter().map(|q| hnsw.search(q, 10)).collect();
-    assert_eq!(hnsw.search_batch(&queries, 10), sequential);
+    assert_eq!(hnsw.search_batch_rows(&query_rows, 10), sequential);
 
     let sequential: Vec<_> = queries.iter().map(|q| lsh.search(q, 10)).collect();
-    assert_eq!(lsh.search_batch(&queries, 10), sequential);
+    assert_eq!(lsh.search_batch_rows(&query_rows, 10), sequential);
 
     let sequential: Vec<_> = queries.iter().map(|q| exact.search(q, 10)).collect();
-    assert_eq!(exact.search_batch(&queries, 10), sequential);
+    assert_eq!(exact.search_batch_rows(&query_rows, 10), sequential);
 
     // Degenerate batch shapes.
-    assert!(exact.search_batch(&[], 10).is_empty());
-    assert_eq!(exact.search_batch(&queries[..1], 10).len(), 1);
+    assert!(exact
+        .search_batch_rows(&EmbeddingMatrix::new(12), 10)
+        .is_empty());
+    let one = EmbeddingMatrix::from_embeddings(&queries[..1]);
+    assert_eq!(exact.search_batch_rows(&one, 10).len(), 1);
 }

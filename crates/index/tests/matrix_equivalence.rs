@@ -112,8 +112,9 @@ fn batched_matrix_queries_equal_sequential_slice_search() {
         .map(|i| index.search_slice(query_matrix.row(i), 10))
         .collect();
     assert_eq!(index.search_batch_rows(&query_matrix, 10), sequential);
-    // And the legacy Vec<Embedding> batch API agrees with the matrix batch.
-    assert_hits_bit_identical(&index.search_batch(&queries, 10), &sequential);
+    // And per-`Embedding` searches agree with the matrix batch.
+    let per_embedding: Vec<_> = queries.iter().map(|q| index.search(q, 10)).collect();
+    assert_hits_bit_identical(&per_embedding, &sequential);
 }
 
 /// The tuple-era oracle: a verbatim brute-force scan returning the bare

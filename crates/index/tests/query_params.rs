@@ -91,7 +91,7 @@ fn runtime_ef_search_matches_the_construction_time_setter() {
         for q in &queries {
             assert_bit_identical(
                 &rebuilt.search_slice(q.as_slice(), 5),
-                &base.search_params(q.as_slice(), 5, &params),
+                &base.search_counted(q.as_slice(), 5, &params).0,
                 &format!("ef={ef}"),
             );
         }
@@ -133,7 +133,7 @@ fn runtime_probes_and_tables_match_a_matching_build() {
             );
             assert_bit_identical(
                 &narrow.search_slice(q.as_slice(), 5),
-                &wide.search_params(q.as_slice(), 5, &params),
+                &wide.search_counted(q.as_slice(), 5, &params).0,
                 &format!("tables={tables} probes={probes}"),
             );
         }

@@ -46,7 +46,7 @@ pub mod shard;
 pub mod snapshot;
 mod wal;
 
-pub use resolver::{unified_operating_point, Resolver, ServeConfig};
+pub use resolver::{Resolver, ServeConfig};
 pub use shard::{search_snapshots, AnyIndex, ShardedIndex};
 pub use snapshot::{CompactionPolicy, SegmentSnapshot, ShardStats};
 

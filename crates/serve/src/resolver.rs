@@ -112,45 +112,15 @@ impl ServeConfig {
     /// point, so the two can never silently disagree. Shard count and
     /// compaction policy keep their defaults (chain the builder:
     /// `ServeConfig::from_point(&op)?.shards(8)`). Validates the point
-    /// (typed [`ErError::Config`] on contradictions).
+    /// (typed [`ErError::Config`] on contradictions). A resolver serving a
+    /// tuned point is `Resolver::new(model, mode,
+    /// ServeConfig::from_point(&point)?)`.
     pub fn from_point(point: &er_core::OperatingPoint) -> Result<ServeConfig> {
         let blocking = er_blocking::TopKConfig::from_point(point)?;
         Ok(ServeConfig::default()
             .backend(blocking.backend)
             .scan(blocking.scan))
     }
-}
-
-/// Reconcile a blocking config and a serving config that are supposed to
-/// describe the same run into one [`er_core::OperatingPoint`] — the fix
-/// for the config-duplication footgun where `TopKConfig.scan` and
-/// `ServeConfig.scan` (or the two backends) silently disagreed. Agreement
-/// is judged on the unified form: both configs are lifted and must render
-/// the identical canonical JSON (k is taken from the blocking side — the
-/// serving side has no k). On disagreement this returns a typed
-/// [`ErError::Config`] naming both forms instead of letting one config
-/// win silently.
-pub fn unified_operating_point(
-    blocking: &er_blocking::TopKConfig,
-    serve: &ServeConfig,
-) -> Result<er_core::OperatingPoint> {
-    let from_blocking = er_core::OperatingPoint::from(blocking);
-    let serve_as_blocking = er_blocking::TopKConfig {
-        k: blocking.k,
-        backend: serve.backend.clone(),
-        dirty: blocking.dirty,
-        scan: serve.scan,
-    };
-    let from_serve = er_core::OperatingPoint::from(&serve_as_blocking);
-    if from_blocking.to_json() != from_serve.to_json() {
-        return Err(ErError::Config(format!(
-            "blocking and serving configs disagree: blocking resolves to \
-             {} but serving to {}",
-            from_blocking.to_json(),
-            from_serve.to_json()
-        )));
-    }
-    Ok(from_blocking)
 }
 
 impl Default for ServeConfig {
@@ -230,17 +200,6 @@ impl<'m> Resolver<'m> {
             epoch: Mutex::new(0),
             dir: None,
         })
-    }
-
-    /// [`Resolver::new`] from a unified [`er_core::OperatingPoint`] —
-    /// e.g. the point an `er-tune` autotune run chose. Equivalent to
-    /// `Resolver::new(model, mode, ServeConfig::from_point(&point)?)`.
-    pub fn with_point(
-        model: &'m dyn LanguageModel,
-        mode: SerializationMode,
-        point: &er_core::OperatingPoint,
-    ) -> Result<Resolver<'m>> {
-        Resolver::new(model, mode, ServeConfig::from_point(point)?)
     }
 
     /// Open (or create) a **durable** resolver in `dir`.

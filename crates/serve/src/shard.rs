@@ -431,8 +431,9 @@ impl Ord for MergeHead {
 
 /// Scatter-gather top-k over an explicit set of per-shard snapshots: fan
 /// the query out across the shards on scoped threads (one per shard,
-/// mirroring `search_batch`), then k-way merge the per-shard sorted lists
-/// with a `BinaryHeap` that preserves the `(distance, id)` total order.
+/// mirroring `search_batch_rows`), then k-way merge the per-shard sorted
+/// lists with a `BinaryHeap` that preserves the `(distance, id)` total
+/// order.
 ///
 /// Public so callers holding a pinned snapshot set (from
 /// [`ShardedIndex::snapshots`]) can re-run queries against exactly that
@@ -497,26 +498,21 @@ pub struct ShardedIndex {
 impl ShardedIndex {
     /// `shards` empty indices of the given backend over `dim`-component
     /// vectors, with the default scan (Reference kernels, no quantization)
-    /// and the default [`CompactionPolicy`].
-    pub fn new(dim: usize, shards: usize, backend: BlockerBackend) -> ShardedIndex {
-        assert!(shards >= 1, "need at least one shard");
-        ShardedIndex::with_scan(dim, shards, backend, ScanConfig::default())
-            .expect("the default scan config cannot fail")
-    }
-
-    /// [`ShardedIndex::new`] with an explicit [`ScanConfig`]. Errors
-    /// (typed [`ErError::Model`]) for zero shards or a scan config the
-    /// service cannot honour (see [`AnyIndex::empty_scan`]).
-    pub fn with_scan(
-        dim: usize,
-        shards: usize,
-        backend: BlockerBackend,
-        scan: ScanConfig,
-    ) -> Result<ShardedIndex> {
-        ShardedIndex::with_options(dim, shards, backend, scan, CompactionPolicy::default())
+    /// and the default [`CompactionPolicy`]. Errors (typed
+    /// [`ErError::Model`]) for zero shards.
+    pub fn new(dim: usize, shards: usize, backend: BlockerBackend) -> Result<ShardedIndex> {
+        ShardedIndex::with_options(
+            dim,
+            shards,
+            backend,
+            ScanConfig::default(),
+            CompactionPolicy::default(),
+        )
     }
 
     /// The full constructor: explicit scan config and compaction policy.
+    /// Errors (typed [`ErError::Model`]) for zero shards or a scan config
+    /// the service cannot honour (see [`AnyIndex::empty_scan`]).
     pub fn with_options(
         dim: usize,
         shards: usize,

@@ -148,7 +148,7 @@ fn scatter_gather_exact_is_bit_identical_to_single_index() {
         }
         let oracle = ExactIndex::from_source(oracle_matrix, metric);
         for shards in [1usize, 2, 5] {
-            let sharded = ShardedIndex::new(dim, shards, BlockerBackend::Exact(metric));
+            let sharded = ShardedIndex::new(dim, shards, BlockerBackend::Exact(metric)).unwrap();
             for (i, row) in rows.iter().enumerate() {
                 assert!(sharded.insert(EntityId(i as u32), row).unwrap());
             }
@@ -167,8 +167,14 @@ fn scatter_gather_exact_is_bit_identical_to_single_index() {
 }
 
 #[test]
+fn zero_shards_is_a_typed_model_error() {
+    let err = ShardedIndex::new(4, 0, BlockerBackend::Exact(Metric::Euclidean)).unwrap_err();
+    assert!(matches!(err, ErError::Model(_)), "{err}");
+}
+
+#[test]
 fn sharding_routes_deterministically_and_covers_all_shards() {
-    let sharded = ShardedIndex::new(4, 5, BlockerBackend::Exact(Metric::Euclidean));
+    let sharded = ShardedIndex::new(4, 5, BlockerBackend::Exact(Metric::Euclidean)).unwrap();
     let mut seen = [false; 5];
     for id in 0..200u32 {
         let s = sharded.shard_of(EntityId(id));
@@ -472,36 +478,28 @@ fn serve_default_stays_on_cosine_hnsw() {
 fn operating_point_is_the_single_source_of_truth_for_both_configs() {
     use er_blocking::TopKConfig;
     use er_core::{KernelTier as Tier, OperatingPoint, Quantization, ScanConfig as Scan};
-    use er_serve::unified_operating_point;
 
     // Derived from one point, blocking and serving configs always agree.
     let point = OperatingPoint::default().k(5).exact().tier(Tier::Lanes);
     let blocking = TopKConfig::from_point(&point).unwrap();
     let serve = ServeConfig::from_point(&point).unwrap();
-    let unified = unified_operating_point(&blocking, &serve).unwrap();
-    assert_eq!(unified.to_json(), point.clone().k(5).to_json());
-
-    // The historical footgun: same pipeline run, two hand-built configs
-    // whose scans silently disagree — now a typed Config error.
-    let hand_blocking = TopKConfig::new(5).backend(BlockerBackend::Exact(Metric::Cosine));
-    let hand_serve = ServeConfig::new()
-        .backend(BlockerBackend::Exact(Metric::Cosine))
-        .scan(Scan {
-            tier: Tier::Reference,
-            quant: Quantization::Int8 { rerank: 20 },
-        });
-    let err = unified_operating_point(&hand_blocking, &hand_serve).unwrap_err();
-    assert!(matches!(err, ErError::Config(_)), "{err}");
-
-    // Disagreeing backends are caught the same way.
-    let lsh_serve = ServeConfig::new().backend(BlockerBackend::Lsh(LshConfig::default()));
-    let err = unified_operating_point(&hand_blocking, &lsh_serve).unwrap_err();
-    assert!(matches!(err, ErError::Config(_)), "{err}");
+    assert_eq!(blocking.k, 5);
+    assert_eq!(
+        format!("{:?}", blocking.backend),
+        format!("{:?}", serve.backend)
+    );
+    assert_eq!(blocking.scan, serve.scan);
+    assert_eq!(serve.scan.tier, Tier::Lanes);
 
     // A resolver built from the point serves the same backend the blocker
     // ranks with.
     let model = TrigramModel { dim: 16 };
-    let resolver = Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &point).unwrap();
+    let resolver = Resolver::new(
+        &model,
+        SerializationMode::SchemaAgnostic,
+        ServeConfig::from_point(&point).unwrap(),
+    )
+    .unwrap();
     assert!(resolver.is_empty());
     // An invalid point is rejected with the same typed error.
     let bad = OperatingPoint::default()
@@ -511,7 +509,7 @@ fn operating_point_is_the_single_source_of_truth_for_both_configs() {
             quant: Quantization::Int8 { rerank: 8 },
         });
     assert!(matches!(
-        Resolver::with_point(&model, SerializationMode::SchemaAgnostic, &bad),
+        ServeConfig::from_point(&bad),
         Err(ErError::Config(_))
     ));
 }

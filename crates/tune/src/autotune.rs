@@ -283,7 +283,9 @@ pub fn autotune(
                 .map(|(q, r)| {
                     overlap(
                         r,
-                        &index.search_params(q, k, &QueryParams::with_ef_search(ef)),
+                        &index
+                            .search_counted(q, k, &QueryParams::with_ef_search(ef))
+                            .0,
                     )
                 })
                 .sum::<f32>()
@@ -337,7 +339,7 @@ pub fn autotune(
                 let recall = probes
                     .iter()
                     .zip(&reference)
-                    .map(|(q, r)| overlap(r, &index.search_params(q, k, &params)))
+                    .map(|(q, r)| overlap(r, &index.search_counted(q, k, &params).0))
                     .sum::<f32>()
                     / probes.len() as f32;
                 let est = model.lsh(&index, probes.iter().copied(), probe_depth, tables)?;

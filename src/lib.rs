@@ -4,10 +4,10 @@
 //! system inventory and ROADMAP.md for what has landed.
 //!
 //! The facade re-exports every subsystem crate and offers a [`prelude`]
-//! plus the paper's Figure 1 pipeline: vectorization ([`vectorize`] /
-//! [`vectorize_matrix`]) over a pre-trained [`ModelZoo`], embedding top-k
-//! blocking ([`block`]) over the ANN indices, and unsupervised matching
-//! ([`Pipeline::resolve`]): Unique Mapping Clustering (or any
+//! plus the paper's Figure 1 pipeline: vectorization
+//! ([`vectorize_matrix`]) over a pre-trained [`ModelZoo`], embedding top-k
+//! blocking ([`Pipeline::block`]) over the ANN indices, and unsupervised
+//! matching ([`Pipeline::resolve`]): Unique Mapping Clustering (or any
 //! [`matching::Clusterer`]) threshold-swept over the scored candidates.
 //! The [`Pipeline`] builder runs every stage over columnar
 //! [`core::EmbeddingMatrix`] storage — each collection embedded exactly
@@ -39,16 +39,9 @@ pub mod pipeline;
 
 pub use pipeline::{vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome};
 
-use er_blocking::TopKConfig;
-use er_core::{Embedding, Entity, EntityId, SerializationMode};
-use er_embed::LanguageModel;
-
 /// Everything needed to drive the pipeline end to end.
 pub mod prelude {
-    pub use er_blocking::{
-        dedup_candidates, dedup_scored, top_k_blocking, top_k_blocking_matrix,
-        top_k_blocking_point, top_k_blocking_scored_matrix, BlockerBackend, TopKConfig,
-    };
+    pub use er_blocking::{dedup_scored, top_k_blocking_scored_matrix, BlockerBackend, TopKConfig};
     pub use er_core::pq::PqConfig;
     pub use er_core::rng::rng;
     pub use er_core::{
@@ -68,52 +61,16 @@ pub mod prelude {
         unique_mapping_clustering, Clusterer, SweepPoint, ThresholdSweep,
     };
     pub use er_serve::{
-        unified_operating_point, CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig,
-        ShardStats, ShardedIndex,
+        CompactionPolicy, Hit, Resolver, SegmentSnapshot, ServeConfig, ShardStats, ShardedIndex,
     };
     pub use er_text::corpus::synthetic_corpus;
     pub use er_text::{normalize, tokenize, Corpus};
     pub use er_tune::{autotune, measure_point, CostModel, Measured, TuneOutcome, TunerConfig};
 
-    pub use crate::{
-        block, vectorize, vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome,
-    };
+    pub use crate::{vectorize_matrix, BlockOutcome, Pipeline, ResolveConfig, ResolveOutcome};
 }
 
 pub use er_embed::{ModelCode, ModelZoo, ZooConfig};
-
-/// Figure 1, stage 1: serialize each entity under `mode` and embed it with
-/// `model`. Output order matches input order.
-pub fn vectorize(
-    model: &dyn LanguageModel,
-    entities: &[Entity],
-    mode: &SerializationMode,
-) -> Vec<Embedding> {
-    entities
-        .iter()
-        .map(|e| model.embed(&e.serialize(mode)))
-        .collect()
-}
-
-/// Figure 1, stage 2: vectorize both collections under `mode` and run the
-/// embedding top-k blocker — index the right side, query with the left,
-/// return deduplicated `(left id, right id)` candidate pairs. For Dirty ER
-/// pass the same collection twice with `config.dirty = true`.
-///
-/// Thin wrapper over [`Pipeline::block`] (which also returns the
-/// per-stage [`eval::StageReport`], and embeds a shared Dirty-ER
-/// collection once instead of twice); candidates are byte-identical.
-pub fn block(
-    model: &dyn LanguageModel,
-    left: &[Entity],
-    right: &[Entity],
-    mode: &SerializationMode,
-    config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    Pipeline::new(model, mode.clone())
-        .block(left, right, config)
-        .candidates()
-}
 
 #[cfg(test)]
 mod tests {
@@ -133,13 +90,13 @@ mod tests {
             ),
             Entity::new(EntityId(1), vec![("name".into(), "".into())]),
         ];
-        let vecs = vectorize(
+        let vecs = vectorize_matrix(
             model.as_ref(),
             &entities,
             &SerializationMode::SchemaAgnostic,
         );
         assert_eq!(vecs.len(), 2);
-        assert_eq!(vecs[0].dim(), model.dim());
-        assert!(vecs.iter().all(Embedding::is_finite));
+        assert_eq!(vecs.dim(), model.dim());
+        assert!(vecs.data().iter().all(|x| x.is_finite()));
     }
 }

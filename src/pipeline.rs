@@ -3,10 +3,11 @@
 //! to the top-k blocker (zero-copy — the index never clones a row), and
 //! record per-stage wall-clock plus item counts in a [`StageReport`].
 //!
-//! [`Pipeline::block`] fixes the Dirty-ER inefficiency of the free
-//! [`crate::block`] function, which vectorized the collection twice when
-//! the same slice was passed as both sides; the free function is now a
-//! thin wrapper over this type, so both emit byte-identical candidates.
+//! [`Pipeline::block`], [`Pipeline::resolve`] and
+//! [`Pipeline::resolve_tuned`] share one path: vectorize (a Dirty-ER
+//! collection passed as both sides is embedded once), block with
+//! [`top_k_blocking_scored_matrix`], then — for the resolve calls — sweep
+//! δ and match.
 
 use er_blocking::{top_k_blocking_scored_matrix, TopKConfig};
 use er_core::{EmbeddingMatrix, Entity, EntityId, GroundTruth, ScoredPair, SerializationMode};
@@ -26,7 +27,7 @@ pub struct BlockOutcome {
 }
 
 impl BlockOutcome {
-    /// The legacy unscored view: the same candidates, scores projected
+    /// The unscored view: the same candidates, scores projected
     /// away, in the same order.
     pub fn candidates(&self) -> Vec<(EntityId, EntityId)> {
         self.scored.iter().map(|p| p.id_pair()).collect()
@@ -87,10 +88,10 @@ impl<'m> Pipeline<'m> {
         Pipeline { model, mode }
     }
 
-    /// Vectorize a collection into columnar storage — the matrix-returning
-    /// variant of [`crate::vectorize`], embedding rows in parallel across a
-    /// scoped-thread pool. Row `i` holds entity `i`'s embedding, bit-equal
-    /// to `model.embed(&entities[i].serialize(mode))`.
+    /// Vectorize a collection into columnar storage, embedding rows in
+    /// parallel across a scoped-thread pool (see [`vectorize_matrix`]).
+    /// Row `i` holds entity `i`'s embedding, bit-equal to
+    /// `model.embed(&entities[i].serialize(mode))`.
     pub fn vectorize(&self, entities: &[Entity]) -> EmbeddingMatrix {
         vectorize_matrix(self.model, entities, &self.mode)
     }
@@ -100,67 +101,18 @@ impl<'m> Pipeline<'m> {
     /// and embedded once, not twice.
     pub fn block(&self, left: &[Entity], right: &[Entity], config: &TopKConfig) -> BlockOutcome {
         let mut report = StageReport::new();
-        let shared = left.as_ptr() == right.as_ptr() && left.len() == right.len();
-        let left_matrix = report.time(
-            if shared {
-                "vectorize"
-            } else {
-                "vectorize-left"
-            },
-            || {
-                let m = self.vectorize(left);
-                let rows = m.len();
-                (m, rows)
-            },
-        );
-        let right_matrix = if shared {
-            None
-        } else {
-            Some(report.time("vectorize-right", || {
-                let m = self.vectorize(right);
-                let rows = m.len();
-                (m, rows)
-            }))
-        };
-        let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
-        let right_ids: Vec<EntityId> = right.iter().map(|e| e.id).collect();
-        let scored = report.time("block", || {
-            let c = top_k_blocking_scored_matrix(
-                &left_ids,
-                &left_matrix,
-                &right_ids,
-                right_matrix.as_ref().unwrap_or(&left_matrix),
-                config,
-            );
-            let pairs = c.len();
-            (c, pairs)
-        });
+        let sides = self.vectorize_sides(left, right, &mut report);
+        let scored = sides.block(config, &mut report);
         BlockOutcome { scored, report }
-    }
-
-    /// Vectorize + top-k blocking driven by a unified
-    /// [`er_core::OperatingPoint`] instead of a legacy [`TopKConfig`] —
-    /// the redesigned entry point ([`er_blocking::top_k_blocking_point`]'s
-    /// pipeline twin). Fails (typed `Config` error) when the point fails
-    /// validation.
-    pub fn block_point(
-        &self,
-        left: &[Entity],
-        right: &[Entity],
-        point: &er_core::OperatingPoint,
-    ) -> er_core::Result<BlockOutcome> {
-        let config = TopKConfig::from_point(point)?;
-        Ok(self.block(left, right, &config))
     }
 
     /// The autotuned [`Pipeline::resolve`]: vectorize both collections
     /// once, run the `er-tune` autotuner on the embedded matrices to pick
     /// the cheapest [`er_core::OperatingPoint`] meeting `goal`'s recall
-    /// target, then block and match with the chosen point. The matching
-    /// stage mirrors [`Pipeline::resolve`] with the paper defaults
-    /// (Unique Mapping Clustering over the Fig. 15 δ grid); the report
-    /// gains a `tune` stage (items = trials swept) between vectorization
-    /// and blocking.
+    /// target, then block and match exactly as [`Pipeline::resolve`] does
+    /// with `ResolveConfig { blocking: TopKConfig::from_point(&chosen)?,
+    /// ..Default::default() }`. The report gains a `tune` stage (items =
+    /// trials swept) between vectorization and blocking.
     pub fn resolve_tuned(
         &self,
         left: &[Entity],
@@ -170,33 +122,11 @@ impl<'m> Pipeline<'m> {
         tuner: &er_tune::TunerConfig,
     ) -> er_core::Result<(ResolveOutcome, er_tune::TuneOutcome)> {
         let mut report = StageReport::new();
-        let shared = left.as_ptr() == right.as_ptr() && left.len() == right.len();
-        let left_matrix = report.time(
-            if shared {
-                "vectorize"
-            } else {
-                "vectorize-left"
-            },
-            || {
-                let m = self.vectorize(left);
-                let rows = m.len();
-                (m, rows)
-            },
-        );
-        let right_matrix = if shared {
-            None
-        } else {
-            Some(report.time("vectorize-right", || {
-                let m = self.vectorize(right);
-                let rows = m.len();
-                (m, rows)
-            }))
-        };
-        let right_ref = right_matrix.as_ref().unwrap_or(&left_matrix);
+        let sides = self.vectorize_sides(left, right, &mut report);
         let tune = report.time("tune", || {
             let outcome = er_tune::autotune(
-                &left_matrix,
-                right_ref,
+                &sides.left_matrix,
+                sides.right_matrix(),
                 goal,
                 tuner,
                 &er_tune::CostModel::builtin(),
@@ -204,48 +134,12 @@ impl<'m> Pipeline<'m> {
             let trials = outcome.as_ref().map(|t| t.trials.len()).unwrap_or(0);
             (outcome, trials)
         })?;
-        let config = TopKConfig::from_point(&tune.chosen)?;
-        let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
-        let right_ids: Vec<EntityId> = right.iter().map(|e| e.id).collect();
-        let candidates = report.time("block", || {
-            let c = top_k_blocking_scored_matrix(
-                &left_ids,
-                &left_matrix,
-                &right_ids,
-                right_ref,
-                &config,
-            );
-            let pairs = c.len();
-            (c, pairs)
-        });
-        let sweep = report.time("sweep", || {
-            let sweep = ThresholdSweep::run_with(
-                &candidates,
-                gt,
-                Clusterer::UniqueMapping,
-                &ThresholdSweep::paper_deltas(),
-            );
-            let points = sweep.points.len();
-            (sweep, points)
-        });
-        let best_delta = sweep.best().map(|p| p.delta).unwrap_or(0.0);
-        let matches = report.time("match", || {
-            let matches = Clusterer::UniqueMapping.cluster(&candidates, best_delta);
-            let count = matches.len();
-            (matches, count)
-        });
-        let report_json = report.to_json().to_string();
-        Ok((
-            ResolveOutcome {
-                matches,
-                candidates,
-                sweep,
-                best_delta,
-                report,
-                report_json,
-            },
-            tune,
-        ))
+        let config = ResolveConfig {
+            blocking: TopKConfig::from_point(&tune.chosen)?,
+            ..ResolveConfig::default()
+        };
+        let candidates = sides.block(&config.blocking, &mut report);
+        Ok((sweep_and_match(candidates, gt, &config, report), tune))
     }
 
     /// Run the full Figure 1 pipeline: vectorize → block → threshold-swept
@@ -261,34 +155,105 @@ impl<'m> Pipeline<'m> {
         gt: &GroundTruth,
         config: &ResolveConfig,
     ) -> ResolveOutcome {
-        let BlockOutcome {
-            scored: candidates,
-            mut report,
-        } = self.block(left, right, &config.blocking);
-        let sweep = report.time("sweep", || {
-            let deltas = config
-                .deltas
-                .clone()
-                .unwrap_or_else(ThresholdSweep::paper_deltas);
-            let sweep = ThresholdSweep::run_with(&candidates, gt, config.clusterer, &deltas);
-            let points = sweep.points.len();
-            (sweep, points)
-        });
-        let best_delta = sweep.best().map(|p| p.delta).unwrap_or(0.0);
-        let matches = report.time("match", || {
-            let matches = config.clusterer.cluster(&candidates, best_delta);
-            let count = matches.len();
-            (matches, count)
-        });
-        let report_json = report.to_json().to_string();
-        ResolveOutcome {
-            matches,
-            candidates,
-            sweep,
-            best_delta,
-            report,
-            report_json,
+        let BlockOutcome { scored, report } = self.block(left, right, &config.blocking);
+        sweep_and_match(scored, gt, config, report)
+    }
+
+    /// Vectorize both sides, timing each as a stage (`vectorize-left`,
+    /// `vectorize-right`, or one `vectorize` for a shared Dirty-ER slice).
+    fn vectorize_sides<'e>(
+        &self,
+        left: &'e [Entity],
+        right: &'e [Entity],
+        report: &mut StageReport,
+    ) -> Sides<'e> {
+        let shared = left.as_ptr() == right.as_ptr() && left.len() == right.len();
+        let mut embed_side = |stage: &str, entities: &[Entity]| {
+            report.time(stage, || {
+                let m = self.vectorize(entities);
+                let rows = m.len();
+                (m, rows)
+            })
+        };
+        let left_stage = if shared {
+            "vectorize"
+        } else {
+            "vectorize-left"
+        };
+        let left_matrix = embed_side(left_stage, left);
+        let right_matrix = (!shared).then(|| embed_side("vectorize-right", right));
+        Sides {
+            left,
+            right,
+            left_matrix,
+            right_matrix,
         }
+    }
+}
+
+/// Both collections of a run, vectorized once. A shared Dirty-ER slice
+/// has no right matrix of its own.
+struct Sides<'e> {
+    left: &'e [Entity],
+    right: &'e [Entity],
+    left_matrix: EmbeddingMatrix,
+    right_matrix: Option<EmbeddingMatrix>,
+}
+
+impl Sides<'_> {
+    fn right_matrix(&self) -> &EmbeddingMatrix {
+        self.right_matrix.as_ref().unwrap_or(&self.left_matrix)
+    }
+
+    /// The `block` stage: top-k blocking over the two matrices.
+    fn block(&self, config: &TopKConfig, report: &mut StageReport) -> Vec<ScoredPair> {
+        let left_ids: Vec<EntityId> = self.left.iter().map(|e| e.id).collect();
+        let right_ids: Vec<EntityId> = self.right.iter().map(|e| e.id).collect();
+        report.time("block", || {
+            let c = top_k_blocking_scored_matrix(
+                &left_ids,
+                &self.left_matrix,
+                &right_ids,
+                self.right_matrix(),
+                config,
+            );
+            let pairs = c.len();
+            (c, pairs)
+        })
+    }
+}
+
+/// The `sweep` and `match` stages: sweep δ over `candidates`, then
+/// cluster at the best-F1 δ.
+fn sweep_and_match(
+    candidates: Vec<ScoredPair>,
+    gt: &GroundTruth,
+    config: &ResolveConfig,
+    mut report: StageReport,
+) -> ResolveOutcome {
+    let sweep = report.time("sweep", || {
+        let deltas = config
+            .deltas
+            .clone()
+            .unwrap_or_else(ThresholdSweep::paper_deltas);
+        let sweep = ThresholdSweep::run_with(&candidates, gt, config.clusterer, &deltas);
+        let points = sweep.points.len();
+        (sweep, points)
+    });
+    let best_delta = sweep.best().map(|p| p.delta).unwrap_or(0.0);
+    let matches = report.time("match", || {
+        let matches = config.clusterer.cluster(&candidates, best_delta);
+        let count = matches.len();
+        (matches, count)
+    });
+    let report_json = report.to_json().to_string();
+    ResolveOutcome {
+        matches,
+        candidates,
+        sweep,
+        best_delta,
+        report,
+        report_json,
     }
 }
 
@@ -342,7 +307,6 @@ fn embed_chunk(
 mod tests {
     use super::*;
     use er_blocking::BlockerBackend;
-    use er_core::Embedding;
     use er_embed::{ModelCode, ModelZoo, ZooConfig};
     use er_index::Metric;
 
@@ -360,6 +324,28 @@ mod tests {
             .collect()
     }
 
+    /// The free blocking function over each side vectorized on its own —
+    /// a shared Dirty-ER collection is embedded twice here.
+    fn free_block(
+        model: &dyn LanguageModel,
+        left: &[Entity],
+        right: &[Entity],
+        mode: &SerializationMode,
+        config: &TopKConfig,
+    ) -> Vec<(EntityId, EntityId)> {
+        let ids = |side: &[Entity]| side.iter().map(|e| e.id).collect::<Vec<_>>();
+        top_k_blocking_scored_matrix(
+            &ids(left),
+            &vectorize_matrix(model, left, mode),
+            &ids(right),
+            &vectorize_matrix(model, right, mode),
+            config,
+        )
+        .iter()
+        .map(ScoredPair::id_pair)
+        .collect()
+    }
+
     #[test]
     fn parallel_matrix_vectorize_is_bit_identical_to_sequential() {
         let zoo = ModelZoo::pretrain(None, &ZooConfig::tiny(), 42);
@@ -367,13 +353,12 @@ mod tests {
         let collection = entities(37, "alpha");
         let mode = SerializationMode::SchemaAgnostic;
         let matrix = vectorize_matrix(model.as_ref(), &collection, &mode);
-        let sequential: Vec<Embedding> = crate::vectorize(model.as_ref(), &collection, &mode);
         assert_eq!(matrix.len(), collection.len());
         assert_eq!(matrix.dim(), model.dim());
-        for (i, e) in sequential.iter().enumerate() {
+        for (i, entity) in collection.iter().enumerate() {
             assert_eq!(
                 matrix.row(i),
-                e.as_slice(),
+                model.embed(&entity.serialize(&mode)).as_slice(),
                 "row {i} drifted from the sequential embed"
             );
         }
@@ -394,8 +379,8 @@ mod tests {
             ..TopKConfig::default()
         };
         let outcome = Pipeline::new(model.as_ref(), mode.clone()).block(&left, &right, &config);
-        let legacy = crate::block(model.as_ref(), &left, &right, &mode, &config);
-        assert_eq!(outcome.candidates(), legacy);
+        let free = free_block(model.as_ref(), &left, &right, &mode, &config);
+        assert_eq!(outcome.candidates(), free);
         let stages: Vec<&str> = outcome
             .report
             .stages()
@@ -432,9 +417,9 @@ mod tests {
             .map(|s| s.stage.as_str())
             .collect();
         assert_eq!(stages, vec!["vectorize", "block"]);
-        // And the candidates still equal the double-embedding legacy path.
-        let legacy = crate::block(model.as_ref(), &collection, &collection, &mode, &config);
-        assert_eq!(outcome.candidates(), legacy);
+        // And the candidates still equal the double-embedding free path.
+        let free = free_block(model.as_ref(), &collection, &collection, &mode, &config);
+        assert_eq!(outcome.candidates(), free);
         assert!(outcome.scored.iter().all(|p| p.left < p.right));
     }
 

@@ -1,26 +1,49 @@
 //! Acceptance contract of the columnar-pipeline refactor: on the D1
 //! dataset, [`Pipeline::block`] emits candidate pairs byte-identical to
-//! the pre-refactor `block()` recipe (sequential per-entity vectorize +
-//! legacy `Vec<Embedding>` blocker), Dirty ER embeds its shared
-//! collection once, and the stage report accounts for every stage.
+//! the pre-refactor recipe (sequential per-entity vectorize into
+//! `Vec<Embedding>`, copied into matrices and blocked), Dirty ER embeds
+//! its shared collection once, and the stage report accounts for every
+//! stage.
 
 use embeddings4er::prelude::*;
 
-/// The pre-refactor `block()` body, kept verbatim as the oracle:
-/// sequential vectorization of both sides into `Vec<Embedding>` and the
-/// legacy per-vec blocker entry point.
+fn ids(side: &[Entity]) -> Vec<EntityId> {
+    side.iter().map(|e| e.id).collect()
+}
+
+/// The pre-refactor blocking recipe, kept as the oracle: sequential
+/// vectorization of both sides into `Vec<Embedding>`, each copied into a
+/// matrix and handed to the blocker.
 fn pre_refactor_block(
     model: &dyn LanguageModel,
     left: &[Entity],
     right: &[Entity],
     mode: &SerializationMode,
     config: &TopKConfig,
-) -> Vec<(EntityId, EntityId)> {
-    let left_vectors = vectorize(model, left, mode);
-    let right_vectors = vectorize(model, right, mode);
-    let left_ids: Vec<EntityId> = left.iter().map(|e| e.id).collect();
-    let right_ids: Vec<EntityId> = right.iter().map(|e| e.id).collect();
-    top_k_blocking(&left_ids, &left_vectors, &right_ids, &right_vectors, config)
+) -> Vec<ScoredPair> {
+    let embed_side = |side: &[Entity]| {
+        let vectors: Vec<Embedding> = side
+            .iter()
+            .map(|e| model.embed(&e.serialize(mode)))
+            .collect();
+        EmbeddingMatrix::from_embeddings(&vectors)
+    };
+    top_k_blocking_scored_matrix(
+        &ids(left),
+        &embed_side(left),
+        &ids(right),
+        &embed_side(right),
+        config,
+    )
+}
+
+/// Same pairs in the same order, each with a bit-identical score.
+fn assert_same_scored(got: &[ScoredPair], want: &[ScoredPair]) {
+    assert_eq!(got.len(), want.len());
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.id_pair(), b.id_pair());
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
 }
 
 fn d1_config() -> TopKConfig {
@@ -45,12 +68,8 @@ fn pipeline_block_is_byte_identical_to_the_pre_refactor_path_on_d1() {
 
     let outcome = Pipeline::new(model.as_ref(), mode.clone()).block(&ds.left, &ds.right, &config);
     let oracle = pre_refactor_block(model.as_ref(), &ds.left, &ds.right, &mode, &config);
-    assert_eq!(outcome.candidates(), oracle);
+    assert_same_scored(&outcome.scored, &oracle);
     assert!(!outcome.scored.is_empty());
-
-    // The free function is a wrapper over the Pipeline — same bytes again.
-    let wrapped = block(model.as_ref(), &ds.left, &ds.right, &mode, &config);
-    assert_eq!(outcome.candidates(), wrapped);
 }
 
 #[test]
@@ -106,7 +125,7 @@ fn dirty_er_pipeline_embeds_once_and_matches_the_double_embed_oracle() {
     let outcome =
         Pipeline::new(model.as_ref(), mode.clone()).block(&collection, &collection, &config);
     let oracle = pre_refactor_block(model.as_ref(), &collection, &collection, &mode, &config);
-    assert_eq!(outcome.candidates(), oracle);
+    assert_same_scored(&outcome.scored, &oracle);
 
     // The shared collection was detected by identity: one vectorize stage.
     let stages: Vec<&str> = outcome
